@@ -4,35 +4,49 @@
 // number of parallel operators."
 //
 // A parallel aggregation (1024 morsels x 1 ms) synchronizes its result
-// under four schemes; speedup vs. core count on the simulated multicore
-// (DESIGN.md §5 — the host container has one vCPU). Critical-section
-// lengths are calibrated from the real latches in src/txn/latch.hpp,
-// measured on this host.
+// under four schemes; speedup vs. core count comes from the simulated
+// multicore (hw::sync_sim), not from the host's cores. For reference the
+// bench first prints the measured uncontended cost of the two primitives
+// sched::ThreadPool synchronizes with: a std::mutex lock/unlock and a
+// std::atomic<std::size_t>::fetch_add. The modeled critical sections below
+// are fixed constants, so the table does not depend on that measurement.
+#include <atomic>
+#include <cstddef>
 #include <iostream>
+#include <mutex>
 
 #include "bench_common.hpp"
 #include "hw/sync_sim.hpp"
-#include "txn/latch.hpp"
 #include "util/table_printer.hpp"
 
 using namespace eidb;
 
 namespace {
 
-/// Measures one uncontended lock+unlock round trip (ns).
-template <typename Lock>
-double measure_lock_ns() {
-  Lock lock;
-  constexpr int kIters = 200'000;
+constexpr int kCalibrationIters = 200'000;
+
+/// Measures one uncontended std::mutex lock+unlock round trip (ns).
+double measure_mutex_ns() {
+  std::mutex mu;
   volatile std::int64_t sink = 0;
   const double s = bench::time_best([&] {
-    for (int i = 0; i < kIters; ++i) {
-      lock.lock();
+    for (int i = 0; i < kCalibrationIters; ++i) {
+      mu.lock();
       sink = sink + 1;
-      lock.unlock();
+      mu.unlock();
     }
   });
-  return s / kIters * 1e9;
+  return s / kCalibrationIters * 1e9;
+}
+
+/// Measures one uncontended atomic fetch_add (ns): the pool's chunk claim.
+double measure_fetch_add_ns() {
+  std::atomic<std::size_t> next{0};
+  const double s = bench::time_best([&] {
+    for (int i = 0; i < kCalibrationIters; ++i)
+      next.fetch_add(1, std::memory_order_relaxed);
+  });
+  return s / kCalibrationIters * 1e9;
 }
 
 }  // namespace
@@ -40,10 +54,11 @@ double measure_lock_ns() {
 int main() {
   std::cout << "== E4: speedup vs cores under synchronization schemes ==\n\n";
 
-  const double spin_ns = measure_lock_ns<txn::Spinlock>();
-  const double ticket_ns = measure_lock_ns<txn::TicketLock>();
-  std::cout << "host-calibrated uncontended critical sections: spinlock "
-            << spin_ns << " ns, ticket " << ticket_ns << " ns\n\n";
+  const double mutex_ns = measure_mutex_ns();
+  const double fetch_add_ns = measure_fetch_add_ns();
+  std::cout << "host-measured uncontended primitives: mutex lock/unlock "
+            << mutex_ns << " ns, atomic fetch_add " << fetch_add_ns
+            << " ns\n\n";
 
   const hw::MachineSpec machine = hw::MachineSpec::server();
   const auto& state = machine.dvfs.fastest();

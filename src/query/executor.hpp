@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "exec/scan_kernels.hpp"
-#include "opt/compression_advisor.hpp"
 #include "query/plan.hpp"
 #include "query/result.hpp"
 #include "sched/thread_pool.hpp"
@@ -145,21 +144,12 @@ struct ExecOptions {
   /// the coordinator. nullptr with shard_count > 0 uses a transient
   /// fully connected 10GbE cluster for the query.
   net::Cluster* cluster = nullptr;
-  /// Objective of the per-link exchange codec decision
-  /// (opt::CompressionAdvisor) for shard result payloads.
-  opt::Objective wire_objective = opt::Objective::kEnergy;
   /// Serving-tier clamp on the plan governor's core grant (0 = uncapped):
   /// under concurrency each in-flight query is granted at most this many
   /// cores so a batch of queries cannot collectively oversubscribe the
   /// machine. The uncapped grant is still recorded as
   /// GovernorChoice::requested_cores for requested-vs-granted visibility.
   std::size_t core_cap = 0;
-  /// Mid-scan operator reconfiguration (exec::AdaptiveScan, paper §IV.B):
-  /// the first int32 plain-array conjunct of a kAuto scan re-estimates
-  /// chunk selectivity with an EWMA and re-picks its kernel mid-column.
-  /// Serial by design (adaptation is sequential); parallel pools fall
-  /// back to the static kernels when this is off.
-  bool adaptive_scan = false;
 };
 
 /// NOT thread-safe across concurrent execute() calls (scratch buffers are

@@ -21,7 +21,7 @@ net::WireTable exchange_to_coordinator(OpContext& ctx, net::Cluster& cluster,
   const hw::LinkSpec& link = cluster.link(from, 0);
   const opt::CompressionAdvisor advisor(machine);
   const opt::ExchangeEstimate advice = advisor.advise(
-      encoded, encoded.size(), link, state, ctx.options.wire_objective);
+      encoded, encoded.size(), link, state, opt::Objective::kEnergy);
 
   net::ExchangeResult xr;
   const std::vector<std::int64_t> received =

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <limits>
 
-#include "exec/adaptive_scan.hpp"
 #include "exec/fused.hpp"
 #include "exec/parallel.hpp"
 #include "exec/scan_kernels.hpp"
-#include "opt/cost_model.hpp"
 #include "storage/zonemap.hpp"
 #include "util/assert.hpp"
 
@@ -187,22 +185,7 @@ void apply_predicate(OpContext& ctx, const Table& table, const Predicate& p,
           exec::scan_bitmap_avx512(column.int32_data(), lo32(), hi32(), match);
         break;
       case exec::ScanVariant::kAuto:
-        if (options.adaptive_scan && column.type() != TypeId::kInt64) {
-          // Mid-scan reconfiguration (paper §IV.B): chunked serial scan
-          // that re-estimates selectivity with an EWMA and re-picks the
-          // kernel between chunks. Takes precedence over the pool — the
-          // adaptation is sequential by construction. Same bitmap as the
-          // static kernels, so parity is unaffected.
-          static const opt::CostModel default_model = opt::CostModel::defaults();
-          const opt::CostModel& cm = options.cost_model != nullptr
-                                         ? *options.cost_model
-                                         : default_model;
-          const double prior = opt::CostModel::estimate_selectivity(
-              column.stats(), r.lo, r.hi);
-          exec::AdaptiveScan adaptive(cm, prior);
-          exec::AdaptiveScanStats as;
-          adaptive.scan(column.int32_data(), lo32(), hi32(), match, as);
-        } else if (options.pool != nullptr) {
+        if (options.pool != nullptr) {
           if (column.type() == TypeId::kInt64)
             exec::parallel_scan_bitmap64(*options.pool, column.int64_data(),
                                          r.lo, r.hi, match);
@@ -340,17 +323,15 @@ bool use_packed(const Column& column, const ExecOptions& options) {
          column.scan_byte_size() <= column.byte_size();
 }
 
-BitVector evaluate_predicates(OpContext& ctx, const Table& table,
-                              const std::vector<Predicate>& preds) {
-  BitVector selection(table.row_count());
-  selection.set_all();
-
+std::vector<const Predicate*> order_conjuncts(
+    const Table& table, const std::vector<Predicate>& preds,
+    const ExecOptions& options) {
   // Most-selective-first ordering: the first conjunct kills the most rows,
   // so the masked scans that follow skip the most blocks.
   std::vector<const Predicate*> ordered;
   ordered.reserve(preds.size());
   for (const Predicate& p : preds) ordered.push_back(&p);
-  if (ctx.options.order_predicates && ordered.size() > 1) {
+  if (options.order_predicates && ordered.size() > 1) {
     std::vector<double> sel(ordered.size());
     for (std::size_t i = 0; i < ordered.size(); ++i)
       sel[i] = estimate_predicate_selectivity(
@@ -361,6 +342,16 @@ BitVector evaluate_predicates(OpContext& ctx, const Table& table,
                               sel[static_cast<std::size_t>(b - preds.data())];
                      });
   }
+  return ordered;
+}
+
+BitVector evaluate_predicates(OpContext& ctx, const Table& table,
+                              const std::vector<Predicate>& preds) {
+  BitVector selection(table.row_count());
+  selection.set_all();
+
+  const std::vector<const Predicate*> ordered =
+      order_conjuncts(table, preds, ctx.options);
 
   // Masked (selection-aware) evaluation needs the adaptive kernels; the
   // explicit-variant and zone-map paths keep per-predicate full scans so

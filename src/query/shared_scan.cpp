@@ -83,23 +83,8 @@ MemberPrep prepare_member(const Table& table, const PhysicalPlan& phys,
   prep.selection = BitVector(rows);
   prep.selection.set_all();
 
-  std::vector<const Predicate*> ordered;
-  ordered.reserve(phys.logical.predicates.size());
-  for (const Predicate& p : phys.logical.predicates) ordered.push_back(&p);
-  if (options.order_predicates && ordered.size() > 1) {
-    std::vector<double> sel(ordered.size());
-    const Predicate* base = phys.logical.predicates.data();
-    for (std::size_t i = 0; i < ordered.size(); ++i)
-      sel[i] = ops::estimate_predicate_selectivity(
-          table.column(ordered[i]->column), *ordered[i]);
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [&](const Predicate* a, const Predicate* b) {
-                       return sel[static_cast<std::size_t>(a - base)] <
-                              sel[static_cast<std::size_t>(b - base)];
-                     });
-  }
-
-  for (const Predicate* p : ordered) {
+  for (const Predicate* p :
+       ops::order_conjuncts(table, phys.logical.predicates, options)) {
     const Column& col = table.column(p->column);
     const ops::BoundRange r = ops::bind_predicate(col, *p);
     if (r.empty) {

@@ -309,9 +309,6 @@ TEST(SqlFuzz, ExecutionParityUnderRandomEncodings) {
       packed_opts.parallel_sort_min_rows = 1;
       packed_opts.parallel_project_min_rows = 1;
     }
-    // Random per-iteration adaptive-scan toggle: the mid-scan kernel
-    // re-picker must be invisible in results whatever else is in play.
-    packed_opts.adaptive_scan = rng.next_bounded(2) == 1;
     ExecStats plain_stats, packed_stats;
     QueryResult want, got;
     bool plain_threw = false, packed_threw = false;
