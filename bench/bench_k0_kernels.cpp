@@ -12,6 +12,7 @@
 #include "exec/join.hpp"
 #include "exec/radix_join.hpp"
 #include "exec/scan_kernels.hpp"
+#include "exec/vector_agg.hpp"
 #include "storage/bitpack.hpp"
 #include "storage/int_codec.hpp"
 #include "storage/lz.hpp"
@@ -271,5 +272,43 @@ void BM_ExpressionEval(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * a.size());
 }
 BENCHMARK(BM_ExpressionEval);
+
+// SUM(revenue * discount / 100) over packed inputs (W1's Q1 aggregate),
+// evaluated per selection word from the packed leaves; the argument is the
+// selectivity in percent. Items = table rows, so items/s is rows/s.
+void BM_ExpressionAggregate(benchmark::State& state) {
+  using storage::Column;
+  constexpr std::size_t kRows = 1 << 20;
+  storage::Table t("t",
+                   storage::Schema({{"revenue", storage::TypeId::kInt64},
+                                    {"discount", storage::TypeId::kInt64}}));
+  Pcg32 rng(3);
+  std::vector<std::int64_t> revenue(kRows), discount(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    revenue[i] = 1000 + rng.next_bounded(100'000);
+    discount[i] = rng.next_bounded(11);
+  }
+  t.set_column(0, Column::from_int64("revenue", revenue));
+  t.set_column(1, Column::from_int64("discount", discount));
+  t.recode("revenue", storage::Encoding::kForBitPacked);
+  t.recode("discount", storage::Encoding::kBitPacked);
+  BitVector sel(kRows);
+  const auto keep = static_cast<std::uint32_t>(state.range(0));
+  for (std::size_t i = 0; i < kRows; ++i)
+    if (rng.next_bounded(100) < keep) sel.set(i);
+  const auto e = exec::Expr::binary(
+      exec::ExprOp::kDiv,
+      exec::Expr::binary(exec::ExprOp::kMul, exec::Expr::column("revenue"),
+                         exec::Expr::column("discount")),
+      exec::Expr::literal(100));
+  const std::vector<exec::AggInput> inputs = {exec::AggInput::from(
+      *e, t, [](const Column& c) {
+        return exec::AggInput::from(c.packed_view());
+      })};
+  for (auto _ : state)
+    benchmark::DoNotOptimize(exec::multi_aggregate(inputs, sel));
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_ExpressionAggregate)->Arg(100)->Arg(13)->Arg(1);
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "exec/vector_agg.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <type_traits>
@@ -35,9 +36,12 @@ struct InputAcc {
 /// the plain loops autovectorize (SIMD) on any target.
 template <typename T, typename S>
 void acc_word_full(const T* data, std::size_t base, S& sum, S& mn, S& mx) {
+  using L = std::numeric_limits<T>;
   S s = 0;
-  T lo = data[base];
-  T hi = data[base];
+  // Seeded like the running accumulators (±inf for doubles), so a NaN row
+  // is skipped by min/max here exactly as acc_word_bits skips it.
+  T lo = L::has_infinity ? L::infinity() : L::max();
+  T hi = L::has_infinity ? -L::infinity() : L::lowest();
   for (std::size_t j = 0; j < 64; ++j) {
     const T v = data[base + j];
     s += static_cast<S>(v);
@@ -63,6 +67,14 @@ void acc_word_bits(const T* data, std::size_t base, std::uint64_t bits,
   }
 }
 
+/// Partial words with at least 16 selected rows amortize one vectorizable
+/// unpack of their whole 64-value block; sparser ones pay the cheaper
+/// per-row random access. The block must lie inside the column.
+bool unpack_whole_block(const storage::PackedView& pv, std::size_t base,
+                        std::size_t selected) {
+  return selected >= 16 && base + 64 <= pv.count;
+}
+
 /// Packed-input accumulate: full words unpack one 64-value block into a
 /// stack buffer (the only memory touched is the packed image); partial
 /// words random-access the surviving bits.
@@ -86,11 +98,9 @@ void acc_word_packed(const storage::PackedView& pv, InputAcc& acc,
     acc.imax = std::max(acc.imax, hi);
     return;
   }
-  // Dense partial words amortize one block unpack; sparse ones pay the
-  // cheaper per-bit random access.
   alignas(64) std::uint64_t buf[64];
-  const bool unpack_block = __builtin_popcountll(bits) >= 16 &&
-                            base + 64 <= pv.count;
+  const bool unpack_block = unpack_whole_block(
+      pv, base, static_cast<std::size_t>(__builtin_popcountll(bits)));
   if (unpack_block) storage::bitunpack_block64(pv.words, pv.bits, base, buf);
   while (bits != 0) {
     const auto j = static_cast<std::size_t>(__builtin_ctzll(bits));
@@ -104,8 +114,132 @@ void acc_word_packed(const storage::PackedView& pv, InputAcc& acc,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Expression inputs: evaluated per 64-row block on an evaluation stack of
+// 64-lane slots. `lane == nullptr` means every lane of a full selection
+// word (branch-free loops); otherwise only the k selected lanes
+// lane[0..k) are loaded and combined.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+void load_plain(const T* data, std::size_t base, const std::uint32_t* lane,
+                std::size_t k, double* dst) {
+  if (lane == nullptr) {
+    for (std::size_t j = 0; j < 64; ++j)
+      dst[j] = static_cast<double>(data[base + j]);
+    return;
+  }
+  for (std::size_t e = 0; e < k; ++e)
+    dst[lane[e]] = static_cast<double>(data[base + lane[e]]);
+}
+
+void load_packed(const storage::PackedView& pv, std::size_t base,
+                 const std::uint32_t* lane, std::size_t k, double* dst) {
+  if (lane == nullptr || unpack_whole_block(pv, base, k)) {
+    alignas(64) std::uint64_t buf[64];
+    storage::bitunpack_block64(pv.words, pv.bits, base, buf);
+    if (lane == nullptr) {
+      for (std::size_t j = 0; j < 64; ++j)
+        dst[j] = static_cast<double>(pv.reference +
+                                     static_cast<std::int64_t>(buf[j]));
+      return;
+    }
+    for (std::size_t e = 0; e < k; ++e)
+      dst[lane[e]] = static_cast<double>(
+          pv.reference + static_cast<std::int64_t>(buf[lane[e]]));
+    return;
+  }
+  for (std::size_t e = 0; e < k; ++e)
+    dst[lane[e]] = static_cast<double>(pv.value_at(base + lane[e]));
+}
+
+void load_leaf(const AggInput& in, std::size_t base, const std::uint32_t* lane,
+               std::size_t k, double* dst) {
+  switch (in.kind) {
+    case AggInput::Kind::kInt32:
+      return load_plain(in.i32.data(), base, lane, k, dst);
+    case AggInput::Kind::kInt64:
+      return load_plain(in.i64.data(), base, lane, k, dst);
+    case AggInput::Kind::kDouble:
+      return load_plain(in.f64.data(), base, lane, k, dst);
+    case AggInput::Kind::kPacked:
+      return load_packed(in.packed, base, lane, k, dst);
+    case AggInput::Kind::kExpr:
+      break;
+  }
+  EIDB_ASSERT(false);
+}
+
+template <typename Op>
+void combine(double* a, const double* b, const std::uint32_t* lane,
+             std::size_t k, Op op) {
+  if (lane == nullptr) {
+    for (std::size_t j = 0; j < 64; ++j) a[j] = op(a[j], b[j]);
+    return;
+  }
+  for (std::size_t e = 0; e < k; ++e) a[lane[e]] = op(a[lane[e]], b[lane[e]]);
+}
+
+/// Evaluates `e` on the block at `base` into out[lane] for every evaluated
+/// lane. Stack slot 0 is `out`; slots 1.. live in `stack`, which holds
+/// (e.depth - 1) * 64 doubles (see expr_stack).
+void eval_block(const BoundExpr& e, std::size_t base,
+                const std::uint32_t* lane, std::size_t k, double* out,
+                double* stack) {
+  const auto slot = [&](std::size_t i) {
+    return i == 0 ? out : stack + (i - 1) * 64;
+  };
+  std::size_t sp = 0;
+  for (const BoundExpr::Step& st : e.steps) {
+    switch (st.kind) {
+      case ExprKind::kColumn:
+        load_leaf(e.leaves[st.leaf], base, lane, k, slot(sp++));
+        break;
+      case ExprKind::kLiteral: {
+        double* dst = slot(sp++);
+        if (lane == nullptr)
+          std::fill_n(dst, 64, st.value);
+        else
+          for (std::size_t i = 0; i < k; ++i) dst[lane[i]] = st.value;
+        break;
+      }
+      case ExprKind::kBinary: {
+        --sp;
+        double* a = slot(sp - 1);
+        const double* b = slot(sp);
+        switch (st.op) {
+          case ExprOp::kAdd:
+            combine(a, b, lane, k, std::plus<>());
+            break;
+          case ExprOp::kSub:
+            combine(a, b, lane, k, std::minus<>());
+            break;
+          case ExprOp::kMul:
+            combine(a, b, lane, k, std::multiplies<>());
+            break;
+          case ExprOp::kDiv:
+            combine(a, b, lane, k, std::divides<>());
+            break;
+        }
+        break;
+      }
+    }
+  }
+  EIDB_ASSERT(sp == 1);
+}
+
+/// Evaluation-stack scratch for every kExpr input of one kernel call
+/// (empty, no allocation, when there is none).
+std::vector<double> expr_stack(std::span<const AggInput> inputs) {
+  std::size_t depth = 1;
+  for (const AggInput& in : inputs)
+    if (in.kind == AggInput::Kind::kExpr)
+      depth = std::max(depth, in.expr->depth);
+  return std::vector<double>((depth - 1) * 64);
+}
+
 void acc_word(const AggInput& in, InputAcc& acc, std::size_t base,
-              std::uint64_t bits, bool full) {
+              std::uint64_t bits, bool full, double* stack) {
   switch (in.kind) {
     case AggInput::Kind::kInt32:
       if (full)
@@ -128,6 +262,21 @@ void acc_word(const AggInput& in, InputAcc& acc, std::size_t base,
     case AggInput::Kind::kPacked:
       acc_word_packed(in.packed, acc, base, bits, full);
       break;
+    case AggInput::Kind::kExpr: {
+      alignas(64) double vals[64];
+      if (full) {
+        eval_block(*in.expr, base, nullptr, 64, vals, stack);
+        acc_word_full(vals, 0, acc.dsum, acc.dmin, acc.dmax);
+        break;
+      }
+      std::uint32_t lane[64] = {};  // zeroed: quiets -Wmaybe-uninitialized
+      std::size_t k = 0;
+      for (std::uint64_t b = bits; b != 0; b &= b - 1)
+        lane[k++] = static_cast<std::uint32_t>(__builtin_ctzll(b));
+      eval_block(*in.expr, base, lane, k, vals, stack);
+      acc_word_bits(vals, 0, bits, acc.dsum, acc.dmin, acc.dmax);
+      break;
+    }
   }
 }
 
@@ -138,6 +287,7 @@ std::uint64_t multi_acc_range(std::span<const AggInput> inputs,
                               std::size_t word_begin, std::size_t word_end,
                               std::vector<InputAcc>& accs) {
   const std::uint64_t* words = selection.words();
+  std::vector<double> stack = expr_stack(inputs);
   std::uint64_t count = 0;
   for (std::size_t w = word_begin; w < word_end; ++w) {
     const std::uint64_t bits = words[w];
@@ -146,7 +296,7 @@ std::uint64_t multi_acc_range(std::span<const AggInput> inputs,
     const bool full = bits == ~std::uint64_t{0};
     const std::size_t base = w * 64;
     for (std::size_t j = 0; j < inputs.size(); ++j)
-      acc_word(inputs[j], accs[j], base, bits, full);
+      acc_word(inputs[j], accs[j], base, bits, full, stack.data());
   }
   return count;
 }
@@ -256,12 +406,11 @@ void acc_block_grouped_packed(const storage::PackedView& pv,
                               const std::uint32_t* slot, std::size_t k,
                               GroupAccum::IntArrays& arrays) {
   // All idx entries of one call lie in a single 64-value block (they were
-  // extracted from one selection word): dense blocks amortize one
-  // vectorizable unpack, sparse ones use per-bit random access — the
-  // grouped mirror of acc_word_packed.
+  // extracted from one selection word) — the grouped mirror of
+  // acc_word_packed.
   const std::size_t base = k > 0 ? (idx[0] / 64) * 64 : 0;
   alignas(64) std::uint64_t buf[64];
-  const bool unpack_block = k >= 16 && base + 64 <= pv.count;
+  const bool unpack_block = unpack_whole_block(pv, base, k);
   if (unpack_block) storage::bitunpack_block64(pv.words, pv.bits, base, buf);
   for (std::size_t e = 0; e < k; ++e) {
     const std::int64_t v =
@@ -295,6 +444,7 @@ void grouped_acc_range(const Keys& keys,
                        std::size_t word_end, Resolve&& resolve,
                        GroupAccum& acc) {
   const std::uint64_t* words = selection.words();
+  std::vector<double> stack = expr_stack(inputs);
   std::uint32_t idx[64];
   std::uint32_t slot[64];
   for (std::size_t w = word_begin; w < word_end; ++w) {
@@ -327,6 +477,16 @@ void grouped_acc_range(const Keys& keys,
         case AggInput::Kind::kPacked:
           acc_block_grouped_packed(in.packed, idx, slot, k, acc.iarr[j]);
           break;
+        case AggInput::Kind::kExpr: {
+          alignas(64) double vals[64];
+          std::uint32_t lane[64];
+          for (std::size_t e = 0; e < k; ++e)
+            lane[e] = idx[e] - static_cast<std::uint32_t>(base);
+          eval_block(*in.expr, base, k == 64 ? nullptr : lane, k, vals,
+                     stack.data());
+          acc_block_grouped(vals, lane, slot, k, acc.darr[j]);
+          break;
+        }
       }
     }
   }
@@ -542,7 +702,53 @@ GroupedAggs parallel_grouped_impl(sched::ThreadPool& pool,
   return emit_groups(inputs, merged, order);
 }
 
+/// Appends `e`'s postfix steps to `out`; `sp` tracks the stack height.
+void bind_rec(const Expr& e, const storage::Table& table,
+              const std::function<AggInput(const storage::Column&)>& leaf,
+              BoundExpr& out, std::size_t& sp) {
+  BoundExpr::Step step;
+  step.kind = e.kind();
+  switch (e.kind()) {
+    case ExprKind::kColumn: {
+      const storage::Column& c = table.column(e.column_name());
+      if (c.type() == storage::TypeId::kString)
+        throw Error("cannot use string column " + c.name() +
+                    " in arithmetic");
+      AggInput in = leaf(c);
+      EIDB_EXPECTS(in.kind != AggInput::Kind::kExpr && in.size() == out.rows);
+      step.leaf = static_cast<std::uint32_t>(out.leaves.size());
+      out.leaves.push_back(std::move(in));
+      out.depth = std::max(out.depth, ++sp);
+      break;
+    }
+    case ExprKind::kLiteral:
+      step.value = e.literal_value();
+      out.depth = std::max(out.depth, ++sp);
+      break;
+    case ExprKind::kBinary:
+      bind_rec(e.lhs(), table, leaf, out, sp);
+      bind_rec(e.rhs(), table, leaf, out, sp);
+      step.op = e.op();
+      --sp;
+      break;
+  }
+  out.steps.push_back(step);
+}
+
 }  // namespace
+
+AggInput AggInput::from(
+    const Expr& e, const storage::Table& table,
+    const std::function<AggInput(const storage::Column&)>& leaf) {
+  auto bound = std::make_shared<BoundExpr>();
+  bound->rows = table.row_count();
+  std::size_t sp = 0;
+  bind_rec(e, table, leaf, *bound, sp);
+  AggInput in;
+  in.kind = Kind::kExpr;
+  in.expr = std::move(bound);
+  return in;
+}
 
 std::vector<AggOut> multi_aggregate(std::span<const AggInput> inputs,
                                     const BitVector& selection) {
@@ -659,6 +865,7 @@ std::int64_t gather_int(const AggInput& in, std::uint32_t row) {
     case AggInput::Kind::kPacked:
       return in.packed.value_at(row);
     case AggInput::Kind::kDouble:
+    case AggInput::Kind::kExpr:
       break;
   }
   EIDB_ASSERT(false);
@@ -669,6 +876,8 @@ std::int64_t gather_int(const AggInput& in, std::uint32_t row) {
 
 JoinAggregator::JoinAggregator(std::vector<Input> inputs)
     : inputs_(std::move(inputs)) {
+  for (const Input& in : inputs_)
+    EIDB_EXPECTS(in.column.kind != AggInput::Kind::kExpr);
   iacc_.resize(inputs_.size());
   dacc_.resize(inputs_.size());
   dense_ = true;  // one implicit slot
@@ -679,6 +888,8 @@ JoinAggregator::JoinAggregator(std::vector<Input> inputs,
                                std::vector<KeyPart> key, KeyRange range)
     : inputs_(std::move(inputs)), key_(std::move(key)), grouped_(true) {
   EIDB_EXPECTS(!key_.empty());
+  for (const Input& in : inputs_)
+    EIDB_EXPECTS(in.column.kind != AggInput::Kind::kExpr);
   for (const KeyPart& part : key_)
     EIDB_EXPECTS(part.column.kind != AggInput::Kind::kDouble);
   iacc_.resize(inputs_.size());

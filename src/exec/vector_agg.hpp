@@ -13,16 +13,22 @@
 //
 // Every input column is therefore touched exactly once per query — the
 // DRAM-byte ledger (and the joules attributed from it) drops accordingly.
+// Arithmetic expression inputs (kExpr) are evaluated per selection word
+// from their leaf columns' views — packed or plain — into a 64-lane stack
+// buffer, so an expression aggregate never materializes a full column.
 // Grouped variants share one per-group count across all inputs and accept
 // the key range from the cached storage::ColumnStats, eliminating the
 // per-call key min/max pass of group_aggregate.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "exec/aggregate.hpp"
+#include "exec/expression.hpp"
 #include "exec/hash_table.hpp"
 #include "exec/parallel.hpp"
 #include "storage/bitpack.hpp"
@@ -30,18 +36,23 @@
 
 namespace eidb::exec {
 
+struct BoundExpr;
+
 /// A typed view of one aggregate input column. int32 (and dictionary-code)
 /// inputs are consumed directly — no widened int64 copy. kPacked inputs
 /// are bit-packed column images (storage::PackedView): full selection
 /// words unpack one 64-value block into registers/stack, so the DRAM
-/// traffic of the pass is the packed bytes, not the plain width.
+/// traffic of the pass is the packed bytes, not the plain width. kExpr
+/// inputs are arithmetic expressions over such views (see BoundExpr),
+/// double-valued like kDouble.
 struct AggInput {
-  enum class Kind : std::uint8_t { kInt32, kInt64, kDouble, kPacked };
+  enum class Kind : std::uint8_t { kInt32, kInt64, kDouble, kPacked, kExpr };
   Kind kind = Kind::kInt64;
   std::span<const std::int32_t> i32;
   std::span<const std::int64_t> i64;
   std::span<const double> f64;
   storage::PackedView packed;
+  std::shared_ptr<const BoundExpr> expr;
 
   static AggInput from(std::span<const std::int32_t> v) {
     AggInput in;
@@ -67,22 +78,54 @@ struct AggInput {
     in.packed = v;
     return in;
   }
+  /// Binds `e` once per query over `table`'s rows: every column leaf
+  /// becomes `leaf(column)` (its packed or plain view, as the caller
+  /// consumes that column elsewhere), every literal a constant. Throws
+  /// eidb::Error for unknown or string columns, as evaluate_expression.
+  static AggInput from(
+      const Expr& e, const storage::Table& table,
+      const std::function<AggInput(const storage::Column&)>& leaf);
 
-  [[nodiscard]] bool is_double() const { return kind == Kind::kDouble; }
-  [[nodiscard]] std::size_t size() const {
-    switch (kind) {
-      case Kind::kInt32:
-        return i32.size();
-      case Kind::kInt64:
-        return i64.size();
-      case Kind::kDouble:
-        return f64.size();
-      case Kind::kPacked:
-        return packed.count;
-    }
-    return 0;
+  [[nodiscard]] bool is_double() const {
+    return kind == Kind::kDouble || kind == Kind::kExpr;
   }
+  [[nodiscard]] std::size_t size() const;
 };
+
+/// An expression bound for the kernels: a postfix program over leaf views
+/// and constants. Per 64-row block every step fills or combines one
+/// 64-lane slot of an evaluation stack; each row's value is computed with
+/// the same IEEE operations, in the same operand order, as
+/// evaluate_expression, so the aggregates match the materialized column
+/// bit for bit.
+struct BoundExpr {
+  struct Step {
+    ExprKind kind = ExprKind::kLiteral;
+    ExprOp op = ExprOp::kAdd;  ///< kBinary: pops two slots, pushes one.
+    std::uint32_t leaf = 0;    ///< kColumn: index into `leaves`.
+    double value = 0;          ///< kLiteral.
+  };
+  std::vector<Step> steps;
+  std::vector<AggInput> leaves;  ///< plain or packed column views only
+  std::size_t rows = 0;
+  std::size_t depth = 0;  ///< evaluation-stack slots the program needs
+};
+
+inline std::size_t AggInput::size() const {
+  switch (kind) {
+    case Kind::kInt32:
+      return i32.size();
+    case Kind::kInt64:
+      return i64.size();
+    case Kind::kDouble:
+      return f64.size();
+    case Kind::kPacked:
+      return packed.count;
+    case Kind::kExpr:
+      return expr->rows;
+  }
+  return 0;
+}
 
 /// Result of one input of a multi-aggregate pass: `i` for integer inputs,
 /// `d` for double inputs (count/sum/min/max cover every AggOp incl. AVG).
@@ -180,7 +223,7 @@ class JoinAggregator {
  public:
   /// One aggregate input, gathered by the row id of its side.
   struct Input {
-    AggInput column;
+    AggInput column;  ///< any kind but kExpr
     std::size_t side = 0;  ///< 0 = probe table, i = i-th build table.
   };
   /// One part of the (possibly composite) group key:

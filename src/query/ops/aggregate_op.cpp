@@ -1,7 +1,6 @@
 #include "query/ops/aggregate_op.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <map>
 #include <set>
@@ -84,21 +83,17 @@ QueryResult run_aggregate_vectorized(OpContext& ctx, const LogicalPlan& plan,
                         selected >= options.parallel_agg_min_rows;
 
   // ---- Resolve AggSpecs to shared inputs: each distinct column (or
-  // expression) becomes ONE kernel input, read exactly once, and is
-  // charged to the DRAM ledger exactly once. ------------------------------
+  // expression) becomes ONE kernel input, and each column is charged to
+  // the DRAM ledger exactly once, however many inputs and expression
+  // leaves read it in the same pass. --------------------------------------
   //
-  // One representation per column per query: consumers with no packed
-  // kernel (expression evaluation, composite-key synthesis) read the
-  // plain array, so a column any of them touches is consumed plain by
-  // every consumer — otherwise the once-per-query charge could not match
-  // what the pass actually streams.
+  // One representation per column per query: composite-key synthesis has
+  // no packed kernel and reads the plain arrays, so a column it touches is
+  // consumed plain by every consumer — otherwise the once-per-query charge
+  // could not match what the pass actually streams. Expression leaves are
+  // ordinary consumers: they bind to the same view a direct aggregate of
+  // the column would use.
   std::set<std::string> plain_required;
-  for (const AggSpec& a : plan.aggregates) {
-    if (a.expr == nullptr) continue;
-    std::vector<std::string> referenced;
-    a.expr->collect_columns(referenced);
-    plain_required.insert(referenced.begin(), referenced.end());
-  }
   if (plan.group_by.size() > 1)
     plain_required.insert(plan.group_by.begin(), plan.group_by.end());
   const auto consume_packed = [&](const Column& c) {
@@ -116,7 +111,6 @@ QueryResult run_aggregate_vectorized(OpContext& ctx, const LogicalPlan& plan,
   };
 
   std::vector<exec::AggInput> inputs;
-  std::deque<std::vector<double>> expr_values;  // stable storage for spans
   std::map<std::string, std::size_t> input_index;
   std::vector<int> spec_input(plan.aggregates.size(), -1);  // -1 = COUNT
   for (std::size_t ai = 0; ai < plan.aggregates.size(); ++ai) {
@@ -126,18 +120,11 @@ QueryResult run_aggregate_vectorized(OpContext& ctx, const LogicalPlan& plan,
       const std::string key = "expr:" + a.expr->to_string();
       const auto it = input_index.find(key);
       if (it == input_index.end()) {
-        std::vector<std::string> referenced;
-        a.expr->collect_columns(referenced);
-        // Expression evaluation reads the plain arrays (no packed kernel)
-        // — the transient-decode fallback arm.
-        for (const std::string& name : referenced)
-          ctx.charge_column(table, table.column(name), false);
-        expr_values.emplace_back();
-        exec::evaluate_expression(*a.expr, table, expr_values.back());
+        // Evaluated per selection word from the leaves' views; each leaf
+        // column is charged once, at the representation it streams.
         input_index[key] = inputs.size();
         spec_input[ai] = static_cast<int>(inputs.size());
-        inputs.push_back(exec::AggInput::from(
-            std::span<const double>(expr_values.back())));
+        inputs.push_back(exec::AggInput::from(*a.expr, table, input_of));
       } else {
         spec_input[ai] = static_cast<int>(it->second);
       }

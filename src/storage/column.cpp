@@ -146,6 +146,14 @@ void Column::ensure_capacity(std::size_t rows) {
                                                 : data_.size() * 2));
 }
 
+void Column::assign_raw(const void* src, std::size_t rows) {
+  ensure_capacity(rows);
+  // An empty span's data() may be null, and memcpy from null is undefined
+  // even for zero bytes.
+  if (rows != 0) std::memcpy(data_.data(), src, rows * physical_size(type_));
+  count_ = rows;
+}
+
 template <typename T>
 void Column::append_raw(T v) {
   ensure_capacity(count_ + 1);
@@ -174,25 +182,19 @@ void Column::append_double(double v) {
 
 Column Column::from_int32(std::string name, std::span<const std::int32_t> v) {
   Column c(std::move(name), TypeId::kInt32);
-  c.ensure_capacity(v.size());
-  std::memcpy(c.data_.data(), v.data(), v.size_bytes());
-  c.count_ = v.size();
+  c.assign_raw(v.data(), v.size());
   return c;
 }
 
 Column Column::from_int64(std::string name, std::span<const std::int64_t> v) {
   Column c(std::move(name), TypeId::kInt64);
-  c.ensure_capacity(v.size());
-  std::memcpy(c.data_.data(), v.data(), v.size_bytes());
-  c.count_ = v.size();
+  c.assign_raw(v.data(), v.size());
   return c;
 }
 
 Column Column::from_double(std::string name, std::span<const double> v) {
   Column c(std::move(name), TypeId::kDouble);
-  c.ensure_capacity(v.size());
-  std::memcpy(c.data_.data(), v.data(), v.size_bytes());
-  c.count_ = v.size();
+  c.assign_raw(v.data(), v.size());
   return c;
 }
 

@@ -191,6 +191,8 @@ class Column {
 
  private:
   void ensure_capacity(std::size_t rows);
+  /// Bulk load of `rows` physical values from `src` (null when rows == 0).
+  void assign_raw(const void* src, std::size_t rows);
   template <typename T>
   void append_raw(T v);
   void build_segment(Encoding e);

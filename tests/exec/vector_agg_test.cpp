@@ -6,14 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "exec/expression.hpp"
 #include "exec/fused.hpp"
 #include "exec/scan_kernels.hpp"
+#include "sched/thread_pool.hpp"
+#include "storage/table.hpp"
 #include "util/rng.hpp"
 
 namespace eidb::exec {
@@ -444,6 +451,264 @@ TEST(JoinAggregator, MergePartialsEqualsSinglePass) {
     EXPECT_EQ(a.iout[0][g].sum, c.iout[0][g].sum);
     EXPECT_EQ(a.iout[0][g].min, c.iout[0][g].min);
     EXPECT_EQ(a.iout[0][g].max, c.iout[0][g].max);
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// Expression inputs (AggInput::Kind::kExpr): evaluated per selection word
+// from the leaves' packed or plain views, they must aggregate bit for bit
+// like the fully materialized expression column fed in as a kDouble input.
+// Both ride in ONE kernel call, so even the morsel-parallel kernels merge
+// them in the same order and the comparison stays exact.
+// ---------------------------------------------------------------------------
+
+/// t(p32 packed int32, n64 FOR-packed int64, i32 / i64 plain, f64 double,
+/// z int32 with many zeros, k int64 group key, kp packed group key).
+storage::Table make_expr_table(std::size_t n, std::uint64_t seed) {
+  using storage::Column;
+  using storage::Encoding;
+  using storage::TypeId;
+  storage::Table t("t", storage::Schema({{"p32", TypeId::kInt32},
+                                         {"n64", TypeId::kInt64},
+                                         {"i32", TypeId::kInt32},
+                                         {"i64", TypeId::kInt64},
+                                         {"f64", TypeId::kDouble},
+                                         {"z", TypeId::kInt32},
+                                         {"k", TypeId::kInt64},
+                                         {"kp", TypeId::kInt32}}));
+  Pcg32 rng(seed);
+  std::vector<std::int32_t> p32, i32, z, kp;
+  std::vector<std::int64_t> n64, i64, k;
+  std::vector<double> f64;
+  for (std::size_t i = 0; i < n; ++i) {
+    p32.push_back(static_cast<std::int32_t>(rng.next_bounded(1000)));
+    n64.push_back(rng.next_in_range(-60'000, -5));
+    i32.push_back(static_cast<std::int32_t>(rng.next_in_range(-500, 500)));
+    i64.push_back(rng.next_in_range(-100'000, 100'000));
+    f64.push_back(rng.next_double() * 20 - 10);
+    z.push_back(static_cast<std::int32_t>(rng.next_bounded(3)));
+    k.push_back(rng.next_in_range(0, 39));
+    kp.push_back(static_cast<std::int32_t>(rng.next_bounded(25)));
+  }
+  t.set_column(0, Column::from_int32("p32", p32));
+  t.set_column(1, Column::from_int64("n64", n64));
+  t.set_column(2, Column::from_int32("i32", i32));
+  t.set_column(3, Column::from_int64("i64", i64));
+  t.set_column(4, Column::from_double("f64", f64));
+  t.set_column(5, Column::from_int32("z", z));
+  t.set_column(6, Column::from_int64("k", k));
+  t.set_column(7, Column::from_int32("kp", kp));
+  t.recode("p32", Encoding::kBitPacked);
+  t.recode("n64", Encoding::kForBitPacked);
+  t.recode("kp", Encoding::kBitPacked);
+  for (const char* plain : {"i32", "i64", "z", "k"})
+    t.recode(plain, Encoding::kPlain);
+  return t;
+}
+
+/// Leaf binding as the aggregate operator does it: the packed image when
+/// the column has one, the plain array otherwise.
+AggInput view_of(const storage::Column& c) {
+  if (c.encoded() != nullptr) return AggInput::from(c.packed_view());
+  switch (c.type()) {
+    case storage::TypeId::kInt64:
+      return AggInput::from(c.int64_data());
+    case storage::TypeId::kDouble:
+      return AggInput::from(c.double_data());
+    default:
+      return AggInput::from(c.int32_data());
+  }
+}
+
+using ExprPtr = std::shared_ptr<const Expr>;
+
+ExprPtr col(const char* name) { return Expr::column(name); }
+ExprPtr lit(double v) { return Expr::literal(v); }
+ExprPtr bin(ExprOp op, ExprPtr l, ExprPtr r) {
+  return Expr::binary(op, std::move(l), std::move(r));
+}
+
+/// Expressions over every leaf kind: integer-valued (p32 * i64 - n64),
+/// packed + double with a literal ((f64 + p32) / 4), IEEE division by a
+/// zero-valued column (i32 / z: ±inf and 0/0 NaN), and a right-nested tree
+/// that needs a four-slot evaluation stack (n64 * (2.5 - (f64 * z))).
+std::vector<ExprPtr> expr_cases() {
+  return {
+      bin(ExprOp::kSub, bin(ExprOp::kMul, col("p32"), col("i64")),
+          col("n64")),
+      bin(ExprOp::kDiv, bin(ExprOp::kAdd, col("f64"), col("p32")), lit(4)),
+      bin(ExprOp::kDiv, col("i32"), col("z")),
+      bin(ExprOp::kMul, col("n64"),
+          bin(ExprOp::kSub, lit(2.5), bin(ExprOp::kMul, col("f64"),
+                                            col("z")))),
+  };
+}
+
+/// Selections covering every word shape: all full words (plus the partial
+/// tail), dense partial words (block unpack), sparse partial words
+/// (per-row random access) and empty.
+std::vector<std::pair<const char*, BitVector>> expr_selections(
+    std::size_t n) {
+  std::vector<std::pair<const char*, BitVector>> out;
+  Pcg32 rng(5);
+  for (const auto& [name, keep] :
+       std::vector<std::pair<const char*, double>>{
+           {"full", 1.0}, {"dense", 0.7}, {"sparse", 0.05}, {"empty", 0.0}}) {
+    BitVector sel(n);
+    for (std::size_t i = 0; i < n; ++i)
+      if (rng.next_double() < keep) sel.set(i);
+    out.emplace_back(name, std::move(sel));
+  }
+  return out;
+}
+
+bool same_double(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same(const AggResultD& want, const AggResultD& got,
+                 const std::string& label) {
+  EXPECT_EQ(want.count, got.count) << label;
+  EXPECT_TRUE(same_double(want.sum, got.sum))
+      << label << " sum " << want.sum << " vs " << got.sum;
+  EXPECT_TRUE(same_double(want.min, got.min))
+      << label << " min " << want.min << " vs " << got.min;
+  EXPECT_TRUE(same_double(want.max, got.max))
+      << label << " max " << want.max << " vs " << got.max;
+}
+
+/// {kExpr input, the same expression materialized as a kDouble input}.
+struct ExprPair {
+  std::vector<double> values;
+  std::vector<AggInput> inputs;
+};
+
+ExprPair bind_pair(const Expr& e, const storage::Table& t) {
+  ExprPair p;
+  evaluate_expression(e, t, p.values);
+  p.inputs.push_back(AggInput::from(e, t, view_of));
+  p.inputs.push_back(AggInput::from(std::span<const double>(p.values)));
+  return p;
+}
+
+TEST(ExprInput, BindsLeavesToPackedAndPlainViews) {
+  const storage::Table t = make_expr_table(1'000, 1);
+  const AggInput in = AggInput::from(*expr_cases()[0], t, view_of);
+  ASSERT_EQ(in.kind, AggInput::Kind::kExpr);
+  EXPECT_TRUE(in.is_double());
+  EXPECT_EQ(in.size(), 1'000u);
+  ASSERT_EQ(in.expr->leaves.size(), 3u);
+  EXPECT_EQ(in.expr->leaves[0].kind, AggInput::Kind::kPacked);  // p32
+  EXPECT_EQ(in.expr->leaves[1].kind, AggInput::Kind::kInt64);   // i64
+  EXPECT_EQ(in.expr->leaves[2].kind, AggInput::Kind::kPacked);  // n64
+  EXPECT_EQ(in.expr->depth, 2u);
+  EXPECT_EQ(AggInput::from(*expr_cases()[3], t, view_of).expr->depth, 4u);
+}
+
+TEST(ExprInput, RejectsStringAndUnknownLeaves) {
+  storage::Table t("t", storage::Schema({{"s", storage::TypeId::kString}}));
+  t.set_column(0, storage::Column::from_strings("s", {"a", "b"}));
+  EXPECT_THROW((void)AggInput::from(*col("s"), t, view_of), Error);
+  EXPECT_THROW((void)AggInput::from(*col("nope"), t, view_of), Error);
+}
+
+TEST(ExprInput, DivisionByZeroColumnYieldsInfAndNan) {
+  // Guards the IEEE case below against a data change that would leave it
+  // without any inf or NaN to compare.
+  const storage::Table t = make_expr_table(4'000, 3);
+  std::vector<double> v;
+  evaluate_expression(*expr_cases()[2], t, v);
+  EXPECT_TRUE(std::any_of(v.begin(), v.end(),
+                          [](double x) { return std::isinf(x); }));
+  EXPECT_TRUE(std::any_of(v.begin(), v.end(),
+                          [](double x) { return std::isnan(x); }));
+}
+
+TEST(ExprInput, GlobalMatchesMaterializedBitForBit) {
+  constexpr std::size_t kN = 4'000;  // not a multiple of 64: partial tail
+  const storage::Table t = make_expr_table(kN, 3);
+  sched::ThreadPool pool2(2), pool8(8);
+  sched::ThreadPool* pools[] = {nullptr, &pool2, &pool8};
+  const auto exprs = expr_cases();
+  for (const auto& [sel_name, sel] : expr_selections(kN)) {
+    for (std::size_t x = 0; x < exprs.size(); ++x) {
+      ExprPair p = bind_pair(*exprs[x], t);
+      // A leaf shared with a direct aggregate of the same column.
+      p.inputs.push_back(view_of(t.column("p32")));
+      const auto ref_p32 = multi_aggregate(
+          std::vector<AggInput>{view_of(t.column("p32"))}, sel);
+      for (sched::ThreadPool* pool : pools) {
+        const std::string label = std::string(sel_name) + " expr " +
+                                  std::to_string(x) + " pool " +
+                                  std::to_string(pool ? pool->thread_count()
+                                                      : 0);
+        const auto outs =
+            pool == nullptr
+                ? multi_aggregate(p.inputs, sel)
+                : parallel_multi_aggregate(*pool, p.inputs, sel,
+                                           /*morsel=*/256);
+        ASSERT_EQ(outs.size(), 3u);
+        ASSERT_TRUE(outs[0].is_double);
+        expect_same(outs[1].d, outs[0].d, label);
+        EXPECT_EQ(outs[0].d.count, sel.count()) << label;
+        expect_agg_eq(ref_p32[0].i, outs[2].i);
+      }
+    }
+  }
+}
+
+TEST(ExprInput, GroupedMatchesMaterializedBitForBit) {
+  constexpr std::size_t kN = 4'000;
+  const storage::Table t = make_expr_table(kN, 4);
+  const auto keys64 = t.column("k").int64_data();
+  const std::vector<std::int32_t> keys32(keys64.begin(), keys64.end());
+  const storage::PackedView packed_keys = t.column("kp").packed_view();
+  sched::ThreadPool pool2(2), pool8(8);
+  const auto exprs = expr_cases();
+  for (const auto& [sel_name, sel] : expr_selections(kN)) {
+    for (std::size_t x = 0; x < exprs.size(); ++x) {
+      const ExprPair p = bind_pair(*exprs[x], t);
+      const std::string label =
+          std::string(sel_name) + " expr " + std::to_string(x);
+      std::vector<std::pair<std::string, GroupedAggs>> runs;
+      runs.emplace_back("dense", grouped_multi_aggregate(
+                                     keys64, p.inputs, sel, {},
+                                     GroupStrategy::kDenseArray));
+      runs.emplace_back("hash", grouped_multi_aggregate(
+                                    keys64, p.inputs, sel, {},
+                                    GroupStrategy::kHash));
+      runs.emplace_back("int32", grouped_multi_aggregate32(
+                                     std::span<const std::int32_t>(keys32),
+                                     p.inputs, sel));
+      runs.emplace_back("packed-key", grouped_multi_aggregate_packed(
+                                          packed_keys, p.inputs, sel));
+      for (sched::ThreadPool* pool : {&pool2, &pool8}) {
+        const std::string w = std::to_string(pool->thread_count());
+        runs.emplace_back("parallel" + w,
+                          parallel_grouped_multi_aggregate(
+                              *pool, keys64, p.inputs, sel, {}, 256));
+        runs.emplace_back("parallel32-" + w,
+                          parallel_grouped_multi_aggregate32(
+                              *pool, std::span<const std::int32_t>(keys32),
+                              p.inputs, sel, {}, 256));
+        runs.emplace_back("parallel-packed-key" + w,
+                          parallel_grouped_multi_aggregate_packed(
+                              *pool, packed_keys, p.inputs, sel, {}, 256));
+      }
+      for (const auto& [arm, g] : runs) {
+        if (sel.count() == 0) {
+          EXPECT_EQ(g.group_count(), 0u) << label << " " << arm;
+          continue;
+        }
+        ASSERT_GT(g.group_count(), 0u) << label << " " << arm;
+        ASSERT_EQ(g.dout.size(), 2u) << label << " " << arm;
+        for (std::size_t i = 0; i < g.group_count(); ++i)
+          expect_same(g.dout[1][i], g.dout[0][i],
+                      label + " " + arm + " group " + std::to_string(i));
+      }
+    }
   }
 }
 

@@ -280,8 +280,9 @@ TEST(CompressedParity, MixedConsumersChargeOneRepresentation) {
                           t.column("tag").dictionary().payload_bytes()));
 
   // Same property for an expression reference next to a packed group key:
-  // wide64 appears in SUM(wide64 * wide64)-style expression input, so it
-  // is read plain even though skew32 stays packed as the single key.
+  // the leaves of SUM(wide64 * wide64) bind to wide64's packed image, the
+  // view MIN(wide64) consumes too, so wide64 is charged once at its packed
+  // size, like the single packed key skew32.
   const auto expr = exec::Expr::binary(exec::ExprOp::kMul,
                                        exec::Expr::column("wide64"),
                                        exec::Expr::column("wide64"));
@@ -294,10 +295,12 @@ TEST(CompressedParity, MixedConsumersChargeOneRepresentation) {
   const QueryResult r_plain = ex.execute(plan2, s_plain, plain_opts);
   const QueryResult r_packed = ex.execute(plan2, s_packed);
   expect_identical(r_plain, r_packed, "expr-mixed");
+  ASSERT_LT(t.column("wide64").scan_byte_size(),
+            t.column("wide64").byte_size());
   EXPECT_DOUBLE_EQ(
       s_packed.work.dram_bytes,
       static_cast<double>(t.column("skew32").scan_byte_size() +
-                          t.column("wide64").byte_size()));
+                          t.column("wide64").scan_byte_size()));
 }
 
 // ---------------------------------------------------------------------------

@@ -173,9 +173,14 @@ storage::Catalog make_fuzz_catalog(std::uint64_t seed) {
 /// and build-side keys and aggregates), ORDER BY / LIMIT over both
 /// projections and aggregate output.
 std::string generate_sql(Pcg32& rng) {
-  const char* aggs[] = {"COUNT(*)", "SUM(a)",   "SUM(b)", "MIN(a)",
-                        "MAX(b)",   "AVG(d)",   "MIN(g)", "MAX(g)",
-                        "AVG(b)",   "SUM(a + g)"};
+  // Expression aggregates mix packed int leaves (a, b, g) with the double
+  // d under *, -, and / by a non-zero literal.
+  const char* aggs[] = {"COUNT(*)",     "SUM(a)",       "SUM(b)",
+                        "MIN(a)",       "MAX(b)",       "AVG(d)",
+                        "MIN(g)",       "MAX(g)",       "AVG(b)",
+                        "SUM(a + g)",   "SUM(a * g)",   "AVG(b - a)",
+                        "MIN(b / 7)",   "MAX(d * g)",   "SUM(d - b / 4)",
+                        "AVG(a * d)",   "MIN(g - d)",   "MAX(a * b / 3)"};
   const char* join_aggs[] = {"COUNT(*)",  "SUM(a)",      "SUM(b)",
                              "MIN(a)",    "MAX(g)",      "SUM(u.w)",
                              "MIN(u.w)",  "MAX(u.w)"};

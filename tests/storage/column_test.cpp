@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "storage/table.hpp"
@@ -30,6 +31,20 @@ TEST(Column, BulkFromSpans) {
   EXPECT_EQ(a.int32_data()[2], 3);
   EXPECT_EQ(b.int64_data()[1], 5);
   EXPECT_DOUBLE_EQ(c.double_data()[0], 1.5);
+}
+
+TEST(Column, BulkFromEmptySpans) {
+  // Empty spans carry a null data(); the bulk loads must not hand it to
+  // memcpy (undefined behaviour, caught by UBSan).
+  const Column a = Column::from_int32("a", std::span<const std::int32_t>());
+  const Column b = Column::from_int64("b", std::span<const std::int64_t>());
+  const Column c = Column::from_double("c", std::span<const double>());
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_EQ(b.size(), 0u);
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_EQ(a.type(), TypeId::kInt32);
+  EXPECT_EQ(b.type(), TypeId::kInt64);
+  EXPECT_EQ(c.type(), TypeId::kDouble);
 }
 
 TEST(Column, StringColumnEncodesOrderedCodes) {
