@@ -1,15 +1,16 @@
 // Experiment P1 — the single-pass vectorized aggregation pipeline.
 //
-// Same queries, two executor paths:
-//   * row-at-a-time  — one pass per AggSpec, per-query key min/max scans,
-//                      widened int64 copies of int32 columns;
-//   * vectorized     — exec/vector_agg: all aggregates in ONE pass over
-//                      each input column, key ranges from the cached
-//                      ColumnStats, morsel-parallel when a pool is given.
+// Same queries, three configurations of the vectorized executor
+// (exec/vector_agg: all aggregates in ONE pass over each input column,
+// key ranges from the cached ColumnStats):
+//   * vectorized         — plain column arrays, serial (the baseline the
+//                          speedup and J_ratio columns divide by);
+//   * vectorized+packed  — bit-packed column images (the default);
+//   * vectorized+pool    — morsel-parallel on a worker pool.
 //
 // The DRAM ledger (ExecStats.work.dram_bytes) shows the single-pass
-// property directly; modeled joules drop with it — the paper's "fastest
-// plan is the greenest" applied to the engine's own hot path.
+// property directly; modeled joules track bytes and time — the paper's
+// "fastest plan is the greenest" applied to the engine's own hot path.
 //
 // Usage: bench_p1_pipeline [rows]   (default 10M; CI uses fewer)
 #include <cstdlib>
@@ -88,8 +89,7 @@ int main(int argc, char** argv) {
                       .aggregate(query::AggOp::kMax, "v2")
                       .aggregate(query::AggOp::kAvg, "v3")
                       .build();
-  // Q2: global multi-aggregate over ONE column — worst case for the
-  // one-pass-per-AggSpec path (4 rescans vs 1 pass).
+  // Q2: global multi-aggregate over ONE column (4 aggregates, 1 pass).
   const auto q2 = query::QueryBuilder("sales")
                       .aggregate(query::AggOp::kSum, "v1")
                       .aggregate(query::AggOp::kMin, "v1")
@@ -97,9 +97,6 @@ int main(int argc, char** argv) {
                       .aggregate(query::AggOp::kAvg, "v1")
                       .build();
 
-  query::ExecOptions legacy;
-  legacy.agg_path = query::AggPath::kRowAtATime;
-  legacy.use_encodings = false;
   // Plain vectorized isolates the single-pass effect; the packed arm adds
   // the compressed column segments (the production default) on top.
   query::ExecOptions vectorized;
@@ -115,8 +112,7 @@ int main(int argc, char** argv) {
                       "speedup", "J_ratio"});
 
   const auto compare = [&](const char* qname, const query::LogicalPlan& q) {
-    const PathResult base = run_path(ex, q, legacy, machine);
-    const PathResult vec = run_path(ex, q, vectorized, machine);
+    const PathResult base = run_path(ex, q, vectorized, machine);
     const PathResult packed = run_path(ex, q, vec_packed, machine);
     const PathResult par = run_path(ex, q, vec_parallel, machine);
     const auto add = [&](const char* path, const PathResult& r) {
@@ -130,8 +126,7 @@ int main(int argc, char** argv) {
       json.add(prefix + "_joules", r.joules);
       json.add(prefix + "_dram_bytes", r.dram_bytes);
     };
-    add("row-at-a-time", base);
-    add("vectorized", vec);
+    add("vectorized", base);
     add("vectorized+packed", packed);
     add("vectorized+pool", par);
   };

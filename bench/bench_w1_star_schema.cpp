@@ -18,10 +18,7 @@
 //       codes, the dimension's codes are remapped across dictionaries
 //       once, and no string is materialized before projection
 //
-// A second section pits the legacy pair-materializing join interpreter
-// against the vectorized block-at-a-time pipeline (packed key probing,
-// dense/hash/radix arm, morsel-parallel probe) on the join-heavy queries, and
-// everything lands in BENCH_w1_star_schema.json for CI trend tracking.
+// Everything lands in BENCH_w1_star_schema.json for CI trend tracking.
 //
 // Usage: bench_w1_star_schema [fact_rows]   (default 4,000,000)
 #include <algorithm>
@@ -232,49 +229,6 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // ---- Join arms: legacy pair-materializing interpreter vs the
-  // vectorized block pipeline (packed keys, cost-model dense/hash/radix
-  // arm, morsel-parallel probe). Same statements, same answers — the wall
-  // and attributed-joule gap is the price of materializing every
-  // JoinPair. ----
-  const struct {
-    const char* id;
-    const char* sql;
-  } join_cases[] = {
-      {"Q3-join-region", cases[2].sql},
-      {"QJ-join-full",
-       "SELECT SUM(revenue), COUNT(*) FROM lineorder JOIN customer ON "
-       "lineorder.custkey = customer.custkey"},
-  };
-  std::cout << "\njoin arm comparison (best of 3):\n";
-  TablePrinter arms({"query", "arm", "time_ms", "attributed_J", "speedup",
-                     "J_ratio"});
-  for (const auto& jc : join_cases) {
-    core::RunOptions legacy;
-    legacy.exec.join_path = query::JoinPath::kPairMaterialize;
-    core::RunOptions vec;
-    vec.exec.pool = &pool;  // kAuto arm + morsel-parallel probe
-    const Measured l = measure(db, jc.sql, legacy);
-    const Measured v = measure(db, jc.sql, vec);
-    const double speedup = v.wall_s > 0 ? l.wall_s / v.wall_s : 0;
-    const double jratio =
-        v.attributed_j > 0 ? l.attributed_j / v.attributed_j : 0;
-    arms.add_row({jc.id, "legacy-pairs", TablePrinter::fmt(l.wall_s * 1e3, 4),
-                  TablePrinter::fmt(l.attributed_j, 4), "1.00", "1.00"});
-    arms.add_row({jc.id, "vectorized", TablePrinter::fmt(v.wall_s * 1e3, 4),
-                  TablePrinter::fmt(v.attributed_j, 4),
-                  TablePrinter::fmt(speedup, 2),
-                  TablePrinter::fmt(jratio, 2)});
-    const std::string id(jc.id);
-    json.add(id + "_legacy_ms", l.wall_s * 1e3);
-    json.add(id + "_vectorized_ms", v.wall_s * 1e3);
-    json.add(id + "_legacy_attributed_J", l.attributed_j);
-    json.add(id + "_vectorized_attributed_J", v.attributed_j);
-    json.add(id + "_join_speedup", speedup);
-    json.add(id + "_join_J_ratio", jratio);
-  }
-  arms.print(std::cout);
-
   // ---- Per-operator attribution of the multi-way star join (Q7): the
   // compiled physical plan plus the operator-level time/DRAM/joule split
   // whose work deltas sum to the query totals. ----
@@ -408,12 +362,10 @@ int main(int argc, char** argv) {
                "returns one row per region (the pre-vectorized path could "
                "not answer it at all); Q7 chains two dimension probes "
                "through the physical-plan compiler and top-ks the grouped "
-               "result; the legacy join arm pays pair materialization + "
-               "sort on top of the same probe work, so the vectorized arm "
-               "wins both wall time and attributed joules; Q8 joins on a "
-               "string key end to end in the int32 code domain (one "
-               "dictionary remap, no per-row string compares) and returns "
-               "the four shared priorities — 'rush' rows never match.\n";
+               "result; Q8 joins on a string key end to end in the int32 "
+               "code domain (one dictionary remap, no per-row string "
+               "compares) and returns the four shared priorities — 'rush' "
+               "rows never match.\n";
   std::cout << "\nwrote " << json.write() << "\n";
   return 0;
 }

@@ -1,18 +1,14 @@
-// Hash equi-join over integer key columns.
+// Equi-join kernels over integer key columns.
 //
-// Two generations of API live here:
-//
-//  * The pair-materializing functions (`hash_join`, `nested_loop_join`)
-//    return every match as a `JoinPair` vector. `nested_loop_join` is the
-//    test oracle; `hash_join` remains as the legacy executor arm and a
-//    kernel benchmark baseline.
-//  * The block-at-a-time pipeline (`JoinKeys`, `build_join_table`,
-//    `probe_join_blocks`) never materializes the pair set: matches are
-//    streamed to a sink in bounded blocks (late materialization), keys are
-//    consumed through a typed view that reads int32/int64/dictionary-code
-//    spans or bit-packed column images in place — no widened int64 copy —
-//    and the probe range is addressable in 64-row selection words so the
-//    executor can drive it morsel-parallel.
+// The executor's join arms run the block-at-a-time pipeline (`JoinKeys`,
+// `build_join_table` / `build_dense_join_table`, `probe_join_blocks`),
+// which never materializes the pair set: matches are streamed to a sink
+// in bounded blocks (late materialization), keys are consumed through a
+// typed view that reads int32/int64/dictionary-code spans or bit-packed
+// column images in place — no widened int64 copy — and the probe range is
+// addressable in 64-row selection words so the executor can drive it
+// morsel-parallel. `nested_loop_join` returns every match as a `JoinPair`
+// vector in (probe asc, build asc) order: it is the kernels' test oracle.
 #pragma once
 
 #include <cstdint>
@@ -34,15 +30,8 @@ struct JoinPair {
   std::uint32_t probe_row;
 };
 
-/// Inner hash join: builds on `build_keys` rows selected by
-/// `build_selection`, probes with `probe_keys` rows selected by
-/// `probe_selection`. Pairs are emitted in probe order.
-/// Precondition: each selection's size equals its key span's size.
-[[nodiscard]] std::vector<JoinPair> hash_join(
-    std::span<const std::int64_t> build_keys, const BitVector& build_selection,
-    std::span<const std::int64_t> probe_keys, const BitVector& probe_selection);
-
-/// Reference nested-loop join (test oracle; O(n*m)).
+/// Reference nested-loop join (test oracle; O(n*m)). Pairs are emitted
+/// in (probe asc, build asc) order.
 /// Precondition: each selection's size equals its key span's size.
 [[nodiscard]] std::vector<JoinPair> nested_loop_join(
     std::span<const std::int64_t> build_keys, const BitVector& build_selection,

@@ -49,8 +49,8 @@ std::uint64_t join_partition_blocks(
     const JoinBlockSink& sink);
 
 /// Inner equi-join, radix-partitioned into 2^bits partitions.
-/// Results match hash_join up to ordering; output is normalized to
-/// (probe_row, build_row) ascending like hash_join.
+/// Output is normalized to (probe_row, build_row) ascending, the order
+/// nested_loop_join emits.
 /// Precondition: each selection's size equals its key span's size.
 [[nodiscard]] std::vector<JoinPair> radix_hash_join(
     std::span<const std::int64_t> build_keys, const BitVector& build_selection,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
-#include <mutex>
 #include <type_traits>
 
 #include "exec/hash_table.hpp"
@@ -676,22 +675,23 @@ GroupedAggs parallel_grouped_impl(sched::ThreadPool& pool,
       std::max<std::size_t>(64, std::max(morsel_rows, per_worker) / 64 * 64);
   const std::size_t total_words = (n + 63) / 64;
 
-  std::mutex merge_mu;
-  GroupAccum merged;
-  merged.init(inputs);
-  HashTable<std::uint32_t> slots;
-  std::uint32_t next = 0;
-
+  // One result slot per chunk, merged in chunk order after the pass: the
+  // double sums fold in the same order on every run and pool width.
+  std::vector<GroupedAggs> parts((n + grain - 1) / grain);
   pool.parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
     // Morsels are grain-aligned (multiple of 64): whole selection words.
     const std::size_t wb = begin / 64;
     const std::size_t we = std::min(total_words, (end + 63) / 64);
-    GroupedAggs part =
+    parts[begin / grain] =
         grouped_impl(keys, inputs, selection, range, strategy, wb, we);
-    if (part.keys.empty()) return;
-    std::scoped_lock lock(merge_mu);
-    merge_grouped(inputs, part, slots, next, merged);
   });
+
+  GroupAccum merged;
+  merged.init(inputs);
+  HashTable<std::uint32_t> slots;
+  std::uint32_t next = 0;
+  for (const GroupedAggs& part : parts)
+    merge_grouped(inputs, part, slots, next, merged);
 
   std::vector<std::pair<std::int64_t, std::uint32_t>> order;
   order.reserve(next);
@@ -768,27 +768,34 @@ std::vector<AggOut> parallel_multi_aggregate(sched::ThreadPool& pool,
   const std::size_t grain = std::max<std::size_t>(64, morsel_rows / 64 * 64);
   const std::size_t total_words = selection.word_count();
 
-  std::mutex merge_mu;
-  std::vector<InputAcc> accs(inputs.size());
-  std::uint64_t count = 0;
-
+  // One partial per chunk, folded in chunk order after the pass: the
+  // double sums add up in the same order on every run and pool width.
+  const std::size_t chunks = (n + grain - 1) / grain;
+  std::vector<std::vector<InputAcc>> partials(
+      chunks, std::vector<InputAcc>(inputs.size()));
+  std::vector<std::uint64_t> counts(chunks, 0);
   pool.parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
     const std::size_t wb = begin / 64;
     const std::size_t we = std::min(total_words, (end + 63) / 64);
-    std::vector<InputAcc> local(inputs.size());
-    const std::uint64_t c = multi_acc_range(inputs, selection, wb, we, local);
-    if (c == 0) return;
-    std::scoped_lock lock(merge_mu);
-    count += c;
-    for (std::size_t j = 0; j < inputs.size(); ++j) {
-      accs[j].isum += local[j].isum;
-      accs[j].imin = std::min(accs[j].imin, local[j].imin);
-      accs[j].imax = std::max(accs[j].imax, local[j].imax);
-      accs[j].dsum += local[j].dsum;
-      accs[j].dmin = std::min(accs[j].dmin, local[j].dmin);
-      accs[j].dmax = std::max(accs[j].dmax, local[j].dmax);
-    }
+    counts[begin / grain] =
+        multi_acc_range(inputs, selection, wb, we, partials[begin / grain]);
   });
+
+  std::vector<InputAcc> accs(inputs.size());
+  std::uint64_t count = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    if (counts[c] == 0) continue;
+    count += counts[c];
+    for (std::size_t j = 0; j < inputs.size(); ++j) {
+      const InputAcc& local = partials[c][j];
+      accs[j].isum += local.isum;
+      accs[j].imin = std::min(accs[j].imin, local.imin);
+      accs[j].imax = std::max(accs[j].imax, local.imax);
+      accs[j].dsum += local.dsum;
+      accs[j].dmin = std::min(accs[j].dmin, local.dmin);
+      accs[j].dmax = std::max(accs[j].dmax, local.dmax);
+    }
+  }
   return finalize_multi(inputs, accs, count);
 }
 

@@ -14,7 +14,7 @@
 //
 //   ops/scan_filter   predicate binding, pruning, masked conjuncts
 //   ops/join_op       multi-way chained joins, dense/hash/radix arms
-//   ops/aggregate_op  single-pass vectorized + legacy row-at-a-time
+//   ops/aggregate_op  single-pass vectorized aggregation
 //   ops/sort_op       sort / heap top-k (typed key views, result rows)
 //   ops/project_op    late materialization with gather-bounded charging
 //
@@ -50,11 +50,6 @@ namespace eidb::query {
 struct PhysicalPlan;
 class OperatorCalibration;
 
-/// Aggregation implementation choice. kVectorized is the production path;
-/// kRowAtATime preserves the one-pass-per-AggSpec interpreter as a
-/// reference for parity tests and the P1 pipeline bench.
-enum class AggPath : std::uint8_t { kVectorized, kRowAtATime };
-
 /// Join implementation choice. kAuto is the production path: the
 /// block-at-a-time vectorized pipeline, with the physical arm (dense
 /// direct-address array vs one cache-resident hash table vs
@@ -62,17 +57,8 @@ enum class AggPath : std::uint8_t { kVectorized, kRowAtATime };
 /// statistics by the cost model; kDense / kHash / kRadix pin that arm
 /// (kDense throws when the key domain is too large to allocate; kRadix
 /// applies to the first executed step of aggregate plans and degrades to
-/// kHash elsewhere). kPairMaterialize preserves the legacy pair-vector
-/// interpreter as a reference for parity tests and the W1 join bench —
-/// it supports only single joins with ungrouped aggregates or unsorted
-/// projections, and throws on anything else rather than mis-answering.
-enum class JoinPath : std::uint8_t {
-  kAuto,
-  kDense,
-  kHash,
-  kRadix,
-  kPairMaterialize,
-};
+/// kHash elsewhere).
+enum class JoinPath : std::uint8_t { kAuto, kDense, kHash, kRadix };
 
 struct ExecOptions {
   /// Scan kernel choice; kAuto lets the adaptive dispatcher decide.
@@ -87,12 +73,6 @@ struct ExecOptions {
   /// choices stay serial so the E3 bench measures exactly the requested
   /// kernel).
   sched::ThreadPool* pool = nullptr;
-  /// Aggregation path (see AggPath).
-  AggPath agg_path = AggPath::kVectorized;
-  /// Order conjunctive predicates most-selective-first and evaluate later
-  /// predicates with masked kernels that skip dead 64-row blocks
-  /// (kAuto scans only, like the parallel path).
-  bool order_predicates = true;
   /// Consume bit-packed column images where one exists (kAuto scans,
   /// vectorized aggregation, join-key probing, and sort keys): predicates
   /// are rewritten into the packed domain and the DRAM ledger is charged

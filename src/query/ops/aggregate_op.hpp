@@ -1,8 +1,7 @@
 // Aggregation operator over a base-table selection: the single-pass
-// block-vectorized pipeline (default) and the legacy row-at-a-time
-// interpreter kept for parity tests and the P1 bench. Extracted from the
-// executor monolith; the shared typed-input and result-emission helpers
-// are reused by the join operator's aggregation sink.
+// block-vectorized pipeline. Extracted from the executor monolith; the
+// shared typed-input and result-emission helpers are reused by the join
+// operator's aggregation sink.
 #pragma once
 
 #include "exec/vector_agg.hpp"
@@ -17,8 +16,8 @@ namespace eidb::query::ops {
 /// columns are consumed as int32 directly (no widened copy).
 [[nodiscard]] exec::AggInput agg_input_of(const storage::Column& c);
 
-/// Column::int_at with a typed error for double columns (shared by the
-/// row-at-a-time reference paths and join key/sort gathers).
+/// Column::int_at with a typed error for double columns (the join
+/// operator's sort-key gathers).
 [[nodiscard]] std::int64_t column_int_at(const storage::Column& c,
                                          std::size_t i);
 
@@ -26,8 +25,8 @@ namespace eidb::query::ops {
 /// empty-input semantics (min/max of nothing = 0).
 [[nodiscard]] storage::Value agg_out_value(AggOp op, const exec::AggOut& out);
 
-/// Runs the plan's aggregates (global or grouped) over the selection,
-/// dispatching on `ctx.options.agg_path`.
+/// Runs the plan's aggregates (global or grouped) over the selection in
+/// one pass per input column.
 [[nodiscard]] QueryResult run_aggregate(OpContext& ctx,
                                         const LogicalPlan& plan,
                                         const storage::Table& table,

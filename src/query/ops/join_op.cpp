@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -213,162 +212,6 @@ struct MorselChunks {
   }
 };
 
-/// Legacy pair-materializing interpreter (JoinPath::kPairMaterialize):
-/// single join only, no GROUP BY / ORDER BY — kept as a reference arm for
-/// parity tests and the W1 bench.
-QueryResult run_join_pairs(OpContext& ctx, const PhysicalPlan& phys,
-                           const Table& table, const BitVector& selection) {
-  const LogicalPlan& plan = phys.logical;
-  ExecStats& stats = ctx.stats;
-  const JoinSpec& spec = plan.joins.front();
-  const Table& build_table = ctx.catalog.get(spec.table);
-  if (!build_table.complete())
-    throw Error("table not fully loaded: " + spec.table);
-  // The legacy interpreter has no grouped-aggregation or sort support;
-  // before the vectorized path existed it silently answered GROUP BY
-  // joins as global aggregates (the wrong-result bug PR 4 fixed).
-  if (plan.has_group_by())
-    throw Error("GROUP BY over joins requires the vectorized join path");
-  if (plan.order_by.has_value())
-    throw Error("ORDER BY over joins requires the vectorized join path");
-
-  BitVector build_sel;
-  {
-    OperatorScope scope(stats, "scan+filter(" + spec.table + ")");
-    build_sel = evaluate_predicates(ctx, build_table, spec.predicates);
-  }
-
-  // Key columns (widened to int64 when needed).
-  const Column& probe_key = table.column(spec.left_key);
-  const Column& build_key = build_table.column(spec.right_key);
-  OperatorScope join_scope(stats, "hash-join");
-  ctx.charge_scan(table, probe_key, false);
-  ctx.charge_scan(build_table, build_key, false);
-
-  auto widen = [](const Column& c) {
-    std::vector<std::int64_t> out;
-    out.reserve(c.size());
-    for (std::size_t i = 0; i < c.size(); ++i)
-      out.push_back(column_int_at(c, i));
-    return out;
-  };
-  std::vector<std::int64_t> probe_keys_w, build_keys_w;
-  std::span<const std::int64_t> probe_keys, build_keys;
-  if (probe_key.type() == TypeId::kInt64) {
-    probe_keys = probe_key.int64_data();
-  } else {
-    probe_keys_w = widen(probe_key);
-    probe_keys = probe_keys_w;
-  }
-  if (build_key.type() == TypeId::kInt64) {
-    build_keys = build_key.int64_data();
-  } else {
-    build_keys_w = widen(build_key);
-    build_keys = build_keys_w;
-  }
-
-  const std::vector<exec::JoinPair> pairs =
-      exec::hash_join(build_keys, build_sel, probe_keys, selection);
-  stats.join_pairs = pairs.size();
-  stats.work.cpu_cycles +=
-      kJoinBuildCyclesPerTuple * static_cast<double>(build_sel.count()) +
-      kJoinProbeCyclesPerTuple * static_cast<double>(selection.count());
-  join_scope.close();
-
-  if (plan.is_aggregate()) {
-    OperatorScope scope(stats, "aggregate(join)");
-    // Aggregates over FROM-table columns, one contribution per join pair.
-    std::vector<std::string> names;
-    for (const AggSpec& a : plan.aggregates) names.push_back(agg_column_name(a));
-    QueryResult result(std::move(names));
-    std::vector<storage::Value> row;
-    for (const AggSpec& a : plan.aggregates) {
-      struct Acc {
-        std::uint64_t count = 0;
-        std::int64_t isum = 0;
-        std::int64_t imin = std::numeric_limits<std::int64_t>::max();
-        std::int64_t imax = std::numeric_limits<std::int64_t>::min();
-        double dsum = 0;
-        double dmin = std::numeric_limits<double>::infinity();
-        double dmax = -std::numeric_limits<double>::infinity();
-        bool is_double = false;
-      } acc;
-      if (a.expr != nullptr)
-        throw Error("expression aggregates are not supported with joins");
-      if (a.op == AggOp::kCount) {
-        acc.count = pairs.size();
-      } else {
-        const Column& c = table.column(a.column);
-        ctx.charge_scan(table, c, false);
-        if (c.type() == TypeId::kDouble) {
-          acc.is_double = true;
-          const auto data = c.double_data();
-          for (const exec::JoinPair& p : pairs) {
-            const double v = data[p.probe_row];
-            ++acc.count;
-            acc.dsum += v;
-            acc.dmin = std::min(acc.dmin, v);
-            acc.dmax = std::max(acc.dmax, v);
-          }
-        } else {
-          for (const exec::JoinPair& p : pairs) {
-            const std::int64_t v = column_int_at(c, p.probe_row);
-            ++acc.count;
-            acc.isum += v;
-            acc.imin = std::min(acc.imin, v);
-            acc.imax = std::max(acc.imax, v);
-          }
-        }
-      }
-      exec::AggOut out;
-      out.is_double = acc.is_double;
-      if (acc.is_double) {
-        out.d.count = acc.count;
-        out.d.sum = acc.dsum;
-        out.d.min = acc.dmin;
-        out.d.max = acc.dmax;
-      } else {
-        out.i.count = acc.count;
-        out.i.sum = acc.isum;
-        out.i.min = acc.imin;
-        out.i.max = acc.imax;
-      }
-      row.push_back(agg_out_value(a.op, out));
-      stats.work.cpu_cycles +=
-          kAggCyclesPerTuple * static_cast<double>(pairs.size());
-    }
-    result.add_row(std::move(row));
-    stats.groups = 1;
-    return result;
-  }
-
-  // Projection of join pairs: FROM-table columns plus build-side columns
-  // qualified as "table.column".
-  OperatorScope scope(stats, "materialize(join)");
-  std::vector<std::string> proj = plan.projection;
-  QueryResult result(proj);
-  const std::size_t limit =
-      plan.limit == 0 ? pairs.size() : std::min(plan.limit, pairs.size());
-  for (std::size_t i = 0; i < limit; ++i) {
-    std::vector<storage::Value> row;
-    row.reserve(proj.size());
-    for (const std::string& name : proj) {
-      const auto dot = name.find('.');
-      if (dot != std::string::npos &&
-          name.substr(0, dot) == build_table.name()) {
-        row.push_back(
-            build_table.column(name.substr(dot + 1)).value_at(pairs[i].build_row));
-      } else {
-        row.push_back(table.column(name).value_at(pairs[i].probe_row));
-      }
-    }
-    result.add_row(std::move(row));
-    stats.work.cpu_cycles += kMaterializeCyclesPerValue *
-                             static_cast<double>(proj.size());
-  }
-  return result;
-}
-
 }  // namespace
 
 QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
@@ -376,9 +219,6 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
   const LogicalPlan& plan = phys.logical;
   const ExecOptions& options = ctx.options;
   ExecStats& stats = ctx.stats;
-  if (options.join_path == JoinPath::kPairMaterialize)
-    return run_join_pairs(ctx, phys, table, selection);
-
   // ---- Build-side scans: one filtered selection per step, each its own
   // attributed operator. ----
   const std::size_t n_steps = phys.joins.size();

@@ -324,14 +324,13 @@ bool use_packed(const Column& column, const ExecOptions& options) {
 }
 
 std::vector<const Predicate*> order_conjuncts(
-    const Table& table, const std::vector<Predicate>& preds,
-    const ExecOptions& options) {
+    const Table& table, const std::vector<Predicate>& preds) {
   // Most-selective-first ordering: the first conjunct kills the most rows,
   // so the masked scans that follow skip the most blocks.
   std::vector<const Predicate*> ordered;
   ordered.reserve(preds.size());
   for (const Predicate& p : preds) ordered.push_back(&p);
-  if (options.order_predicates && ordered.size() > 1) {
+  if (ordered.size() > 1) {
     std::vector<double> sel(ordered.size());
     for (std::size_t i = 0; i < ordered.size(); ++i)
       sel[i] = estimate_predicate_selectivity(
@@ -351,13 +350,12 @@ BitVector evaluate_predicates(OpContext& ctx, const Table& table,
   selection.set_all();
 
   const std::vector<const Predicate*> ordered =
-      order_conjuncts(table, preds, ctx.options);
+      order_conjuncts(table, preds);
 
   // Masked (selection-aware) evaluation needs the adaptive kernels; the
   // explicit-variant and zone-map paths keep per-predicate full scans so
   // experiments measure exactly the requested kernel.
-  const bool can_mask = ctx.options.order_predicates &&
-                        ctx.options.scan_variant == exec::ScanVariant::kAuto &&
+  const bool can_mask = ctx.options.scan_variant == exec::ScanVariant::kAuto &&
                         !ctx.options.use_zone_maps;
   bool first = true;
   for (const Predicate* p : ordered) {

@@ -41,13 +41,11 @@ struct BoundRange {
                               const ExecOptions& options);
 
 /// `predicates` in evaluation order: most-selective-first by
-/// estimate_predicate_selectivity when `options.order_predicates` is set
-/// (stable, so ties keep query order), query order otherwise. Shared by
-/// evaluate_predicates and the serving tier's fused scans so both see the
-/// same conjunct order.
+/// estimate_predicate_selectivity (stable, so ties keep query order).
+/// Shared by evaluate_predicates and the serving tier's fused scans so
+/// both see the same conjunct order.
 [[nodiscard]] std::vector<const Predicate*> order_conjuncts(
-    const storage::Table& table, const std::vector<Predicate>& predicates,
-    const ExecOptions& options);
+    const storage::Table& table, const std::vector<Predicate>& predicates);
 
 /// Evaluates the conjunction of `predicates` over `table` into a selection
 /// bitmap, ordering conjuncts most-selective-first and running later ones

@@ -297,8 +297,6 @@ PhysicalPlan compile_plan(const storage::Catalog& catalog,
   validate_join_plan(plan);
   PhysicalPlan phys;
   phys.logical = plan;
-  phys.agg_path = options.agg_path;
-  phys.join_path = options.join_path;
 
   const Table& probe = catalog.get(plan.table);
   phys.est_probe_rows = estimate_selected_rows(probe, plan.predicates);
@@ -318,9 +316,6 @@ PhysicalPlan compile_plan(const storage::Catalog& catalog,
     apply_plan_governor(catalog, phys, options);
     return phys;
   }
-  if (options.join_path == JoinPath::kPairMaterialize && k > 1)
-    throw Error("the legacy pair-materializing join path supports a single "
-                "join; multi-way joins require the vectorized pipeline");
 
   // ---- Resolve every declared join: build table, key columns (typed),
   // probe-key provenance, and cardinality estimates. ----
@@ -361,11 +356,6 @@ PhysicalPlan compile_plan(const storage::Catalog& catalog,
     else if (key_types[j] == JoinKeyType::kDouble)
       code_domain[j] =
           static_cast<std::uint64_t>(left.double_dictionary().size()) + 1;
-    if (key_types[j] != JoinKeyType::kInt &&
-        options.join_path == JoinPath::kPairMaterialize)
-      throw Error("the legacy pair-materializing join path joins integer "
-                  "keys only: " +
-                  spec.right_key);
     est_build[j] = estimate_selected_rows(*build_tables[j], spec.predicates);
     const double distinct =
         std::max<double>(1.0, static_cast<double>(right.stats().distinct));
@@ -474,7 +464,7 @@ PhysicalPlan compile_plan(const storage::Catalog& catalog,
       case JoinPath::kRadix:
         step.arm = opt::JoinArm::kRadixJoin;
         break;
-      default:
+      case JoinPath::kAuto:
         step.arm = cm.pick_join_arm(
             static_cast<std::uint64_t>(std::max(0.0, est_build[j])),
             ks.distinct, key_domain, key_width);
@@ -520,9 +510,7 @@ std::string PhysicalPlan::explain() const {
     os << "aggs=[";
     for (std::size_t i = 0; i < logical.aggregates.size(); ++i)
       os << (i ? "," : "") << agg_column_name(logical.aggregates[i]);
-    os << "], path="
-       << (agg_path == AggPath::kVectorized ? "vectorized" : "row-at-a-time")
-       << ")\n";
+    os << "])\n";
   } else {
     os << "  project(";
     if (logical.projection.empty()) {

@@ -121,8 +121,6 @@ struct PhysicalPlan {
   LogicalPlan logical;
   /// Join steps in execution order (empty = no join).
   std::vector<PhysicalJoinStep> joins;
-  AggPath agg_path = AggPath::kVectorized;
-  JoinPath join_path = JoinPath::kAuto;
   SortStrategy sort = SortStrategy::kNone;
   /// True when the sort operator runs over materialized result rows
   /// (aggregate output); false = row-id sort over a table column.

@@ -84,7 +84,7 @@ MemberPrep prepare_member(const Table& table, const PhysicalPlan& phys,
   prep.selection.set_all();
 
   for (const Predicate* p :
-       ops::order_conjuncts(table, phys.logical.predicates, options)) {
+       ops::order_conjuncts(table, phys.logical.predicates)) {
     const Column& col = table.column(p->column);
     const ops::BoundRange r = ops::bind_predicate(col, *p);
     if (r.empty) {

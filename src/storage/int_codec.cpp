@@ -36,8 +36,20 @@ std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
+// Two's-complement a - b and a + b: wraps instead of overflowing (signed
+// overflow is undefined), so full-range int64 inputs round-trip.
+std::int64_t wrap_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+std::int64_t wrap_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+
 void append_words(std::vector<std::byte>& out,
                   const std::vector<std::uint64_t>& words) {
+  if (words.empty()) return;  // data() may be null: memcpy would be UB
   const std::size_t at = out.size();
   out.resize(at + words.size() * 8);
   std::memcpy(out.data() + at, words.data(), words.size() * 8);
@@ -47,7 +59,7 @@ std::vector<std::uint64_t> read_words(std::span<const std::byte> in,
                                       std::size_t at, std::size_t n_words) {
   EIDB_EXPECTS(at + n_words * 8 <= in.size());
   std::vector<std::uint64_t> words(n_words);
-  std::memcpy(words.data(), in.data() + at, n_words * 8);
+  if (n_words != 0) std::memcpy(words.data(), in.data() + at, n_words * 8);
   return words;
 }
 
@@ -63,7 +75,9 @@ class PlainCodec final : public IntCodec {
     put_u64(out, values.size());
     const std::size_t at = out.size();
     out.resize(at + values.size_bytes());
-    std::memcpy(out.data() + at, values.data(), values.size_bytes());
+    // An empty span's data() may be null: memcpy from it is undefined.
+    if (!values.empty())
+      std::memcpy(out.data() + at, values.data(), values.size_bytes());
     return out;
   }
 
@@ -72,7 +86,7 @@ class PlainCodec final : public IntCodec {
     const std::uint64_t n = get_u64(bytes, 0);
     std::vector<std::int64_t> out(n);
     EIDB_EXPECTS(8 + n * 8 <= bytes.size());
-    std::memcpy(out.data(), bytes.data() + 8, n * 8);
+    if (n != 0) std::memcpy(out.data(), bytes.data() + 8, n * 8);
     return out;
   }
 
@@ -97,7 +111,7 @@ class ForBitpackCodec final : public IntCodec {
     const std::int64_t base = *mn_it;
     std::vector<std::uint64_t> offsets(values.size());
     for (std::size_t i = 0; i < values.size(); ++i)
-      offsets[i] = static_cast<std::uint64_t>(values[i] - base);
+      offsets[i] = static_cast<std::uint64_t>(wrap_sub(values[i], base));
     const unsigned bits = min_bits(offsets);
     put_u64(out, static_cast<std::uint64_t>(base));
     put_u64(out, bits);
@@ -117,7 +131,7 @@ class ForBitpackCodec final : public IntCodec {
     std::vector<std::uint64_t> offsets(n);
     bitunpack(words, bits, n, offsets);
     for (std::size_t i = 0; i < n; ++i)
-      out[i] = base + static_cast<std::int64_t>(offsets[i]);
+      out[i] = wrap_add(base, static_cast<std::int64_t>(offsets[i]));
     return out;
   }
 
@@ -140,7 +154,7 @@ class DeltaBitpackCodec final : public IntCodec {
     std::vector<std::uint64_t> deltas(values.size());
     std::int64_t prev = 0;
     for (std::size_t i = 0; i < values.size(); ++i) {
-      deltas[i] = zigzag(values[i] - prev);
+      deltas[i] = zigzag(wrap_sub(values[i], prev));
       prev = values[i];
     }
     const unsigned bits = min_bits(deltas);
@@ -160,7 +174,7 @@ class DeltaBitpackCodec final : public IntCodec {
     bitunpack(words, bits, n, deltas);
     std::int64_t prev = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      prev += unzigzag(deltas[i]);
+      prev = wrap_add(prev, unzigzag(deltas[i]));
       out[i] = prev;
     }
     return out;
@@ -237,7 +251,7 @@ class LzIntCodec final : public IntCodec {
     const std::vector<std::byte> raw =
         lz_decompress(bytes.subspan(16, lz_size), n * 8);
     std::vector<std::int64_t> out(n);
-    std::memcpy(out.data(), raw.data(), n * 8);
+    if (n != 0) std::memcpy(out.data(), raw.data(), n * 8);
     return out;
   }
 

@@ -26,13 +26,14 @@ void expect_same(const std::vector<JoinPair>& a,
   }
 }
 
-TEST(RadixJoin, MatchesPlainHashJoin) {
+TEST(RadixJoin, MatchesNestedLoopJoin) {
   Pcg32 rng(5);
   std::vector<std::int64_t> build(5000), probe(20000);
   for (auto& k : build) k = rng.next_bounded(2000);
   for (auto& k : probe) k = rng.next_bounded(2000);
   const auto want =
-      hash_join(build, all_set(build.size()), probe, all_set(probe.size()));
+      nested_loop_join(build, all_set(build.size()), probe,
+                       all_set(probe.size()));
   const auto got = radix_hash_join(build, all_set(build.size()), probe,
                                    all_set(probe.size()), 6);
   expect_same(got, want);
@@ -49,7 +50,7 @@ TEST(RadixJoin, RespectsSelections) {
   for (std::size_t i = 0; i < probe.size(); ++i)
     if (rng.next_double() < 0.5) psel.set(i);
   expect_same(radix_hash_join(build, bsel, probe, psel, 4),
-              hash_join(build, bsel, probe, psel));
+              nested_loop_join(build, bsel, probe, psel));
 }
 
 TEST(RadixJoin, ParallelPoolMatchesSerial) {
@@ -75,8 +76,8 @@ TEST(RadixJoin, SkewedKeysStillCorrect) {
     k = rng.next_double() < 0.9 ? 42 : rng.next_bounded(10);
   expect_same(radix_hash_join(build, all_set(build.size()), probe,
                               all_set(probe.size()), 3),
-              hash_join(build, all_set(build.size()), probe,
-                        all_set(probe.size())));
+              nested_loop_join(build, all_set(build.size()), probe,
+                               all_set(probe.size())));
 }
 
 TEST(RadixJoin, RadixBitsSweep) {
@@ -85,7 +86,8 @@ TEST(RadixJoin, RadixBitsSweep) {
   for (auto& k : build) k = rng.next_bounded(500);
   for (auto& k : probe) k = rng.next_bounded(500);
   const auto want =
-      hash_join(build, all_set(build.size()), probe, all_set(probe.size()));
+      nested_loop_join(build, all_set(build.size()), probe,
+                       all_set(probe.size()));
   for (const unsigned bits : {1u, 2u, 4u, 8u, 12u}) {
     expect_same(radix_hash_join(build, all_set(build.size()), probe,
                                 all_set(probe.size()), bits),
@@ -116,7 +118,7 @@ TEST(RadixJoinDeathTest, OversizedSelectionViolatesPrecondition) {
 
 TEST(RadixJoin, PartitionBlocksCoverEveryPairExactlyOnce) {
   // The block primitives (radix_partition + join_partition_blocks) must
-  // produce the same pair multiset as the plain hash join.
+  // produce the same pair multiset as the nested-loop join.
   Pcg32 rng(11);
   std::vector<std::int64_t> build(3000), probe(9000);
   for (auto& k : build) k = rng.next_bounded(800);
@@ -145,7 +147,7 @@ TEST(RadixJoin, PartitionBlocksCoverEveryPairExactlyOnce) {
     if (a.probe_row != b.probe_row) return a.probe_row < b.probe_row;
     return a.build_row < b.build_row;
   });
-  expect_same(got, hash_join(build, bsel, probe, psel));
+  expect_same(got, nested_loop_join(build, bsel, probe, psel));
 }
 
 }  // namespace

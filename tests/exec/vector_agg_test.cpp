@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -251,6 +252,91 @@ TEST(GroupedMultiAggregate, ParallelMatchesSerial) {
     expect_agg_eq(serial.iout[0][i], par.iout[0][i]);
     expect_agg_eq(serial.iout[1][i], par32.iout[1][i]);
     expect_agg_near(serial.dout[2][i], par.dout[2][i]);
+  }
+}
+
+// Determinism of the morsel-parallel merges: per-chunk partials fold in
+// chunk order, never completion order, so a double SUM over many morsels
+// has the same bits on every call and equals a serial fold of per-chunk
+// results. Chunks here are exactly `kMorsel` rows: the grouped path sizes
+// a chunk as max(morsel, n / (4 * threads)), and kMorsel exceeds the
+// second term.
+constexpr std::size_t kChunkRows = 50'000;
+constexpr std::size_t kMorsel = 4096;
+
+/// `sel` restricted to rows [begin, end).
+BitVector chunk_of(const BitVector& sel, std::size_t begin, std::size_t end) {
+  BitVector out(sel.size());
+  for (std::size_t i = begin; i < std::min(end, sel.size()); ++i)
+    if (sel.test(i)) out.set(i);
+  return out;
+}
+
+TEST(ParallelAggregation, GlobalDoubleSumFoldsInChunkOrder) {
+  const TestColumns t = make_columns(kChunkRows, 0.7, 91);
+  const std::vector<AggInput> inputs = {AggInput::from(std::span(t.f64))};
+  AggResultD want;
+  want.min = std::numeric_limits<double>::infinity();
+  want.max = -std::numeric_limits<double>::infinity();
+  for (std::size_t b = 0; b < kChunkRows; b += kMorsel) {
+    const AggResultD part =
+        multi_aggregate(inputs, chunk_of(t.selection, b, b + kMorsel))[0].d;
+    if (part.count == 0) continue;
+    want.count += part.count;
+    want.sum += part.sum;
+    want.min = std::min(want.min, part.min);
+    want.max = std::max(want.max, part.max);
+  }
+  sched::ThreadPool pool(4);
+  for (int call = 0; call < 30; ++call) {
+    const AggResultD got =
+        parallel_multi_aggregate(pool, inputs, t.selection, kMorsel)[0].d;
+    ASSERT_EQ(got.count, want.count);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.sum),
+              std::bit_cast<std::uint64_t>(want.sum))
+        << "call " << call;
+    ASSERT_EQ(got.min, want.min);
+    ASSERT_EQ(got.max, want.max);
+  }
+}
+
+TEST(ParallelAggregation, GroupedDoubleSumsFoldInChunkOrder) {
+  const TestColumns t = make_columns(kChunkRows, 0.7, 92);
+  const std::vector<AggInput> inputs = {AggInput::from(std::span(t.f64))};
+  const KeyRange range{true, 0, 49};
+  std::map<std::int64_t, AggResultD> want;
+  for (std::size_t b = 0; b < kChunkRows; b += kMorsel) {
+    const GroupedAggs part = grouped_multi_aggregate(
+        std::span(t.keys64), inputs, chunk_of(t.selection, b, b + kMorsel),
+        range);
+    for (std::size_t g = 0; g < part.group_count(); ++g) {
+      AggResultD& w = want.try_emplace(part.keys[g]).first->second;
+      if (w.count == 0) {
+        w.min = std::numeric_limits<double>::infinity();
+        w.max = -std::numeric_limits<double>::infinity();
+      }
+      w.count += part.counts[g];
+      w.sum += part.dout[0][g].sum;
+      w.min = std::min(w.min, part.dout[0][g].min);
+      w.max = std::max(w.max, part.dout[0][g].max);
+    }
+  }
+  sched::ThreadPool pool(4);
+  for (int call = 0; call < 30; ++call) {
+    const GroupedAggs got = parallel_grouped_multi_aggregate(
+        pool, std::span(t.keys64), inputs, t.selection, range, kMorsel);
+    ASSERT_EQ(got.group_count(), want.size());
+    std::size_t g = 0;
+    for (const auto& [key, w] : want) {
+      ASSERT_EQ(got.keys[g], key);
+      ASSERT_EQ(got.counts[g], w.count);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.dout[0][g].sum),
+                std::bit_cast<std::uint64_t>(w.sum))
+          << "call " << call << " key " << key;
+      ASSERT_EQ(got.dout[0][g].min, w.min);
+      ASSERT_EQ(got.dout[0][g].max, w.max);
+      ++g;
+    }
   }
 }
 

@@ -8,15 +8,13 @@
 #include <gtest/gtest.h>
 
 #include "parity_matrix.hpp"
+#include "scalar_oracle.hpp"
 
-#include <limits>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "exec/join.hpp"
 #include "query/executor.hpp"
 #include "query/sql.hpp"
 #include "sched/thread_pool.hpp"
@@ -33,7 +31,6 @@ using storage::Encoding;
 using storage::Schema;
 using storage::Table;
 using storage::TypeId;
-using storage::Value;
 
 // The shared fixture (catalog, matrix, expect_identical) lives in
 // parity_matrix.hpp so the distributed-parity suite runs the SAME
@@ -118,7 +115,7 @@ TEST(CompressedParity, RandomizedThreadCountsMatchPlain) {
 
 TEST(CompressedParity, MaskedConjunctsPackedMatchesPlain) {
   // Deep conjunction: the 2nd..4th predicates run the masked packed
-  // kernel; unordered evaluation runs full packed scans. All must agree.
+  // kernel. Packed and plain must agree with each other and the oracle.
   Catalog cat = make_catalog(31);
   Executor ex(cat);
   const auto plan = QueryBuilder("facts")
@@ -132,18 +129,12 @@ TEST(CompressedParity, MaskedConjunctsPackedMatchesPlain) {
                         .build();
   ExecOptions plain_opts;
   plain_opts.use_encodings = false;
-  ExecOptions unordered_packed;
-  unordered_packed.order_predicates = false;
-  ExecStats s1, s2, s3;
+  ExecStats s1, s2;
   const QueryResult want = ex.execute(plan, s1, plain_opts);
   const QueryResult masked = ex.execute(plan, s2);
-  const QueryResult unordered = ex.execute(plan, s3, unordered_packed);
   expect_identical(want, masked, "masked");
-  expect_identical(want, unordered, "unordered");
+  oracle::expect_matches(oracle::run(cat, plan), masked, plan, "oracle");
   EXPECT_LE(s2.work.dram_bytes, s1.work.dram_bytes);
-  EXPECT_LE(s3.work.dram_bytes, s1.work.dram_bytes);
-  // Masked conjuncts touch at most the full packed scans' traffic.
-  EXPECT_LE(s2.work.dram_bytes, s3.work.dram_bytes);
 }
 
 TEST(CompressedParity, ZoneMapsComposeWithPackedSegments) {
@@ -303,186 +294,12 @@ TEST(CompressedParity, MixedConsumersChargeOneRepresentation) {
                           t.column("wide64").scan_byte_size()));
 }
 
-// ---------------------------------------------------------------------------
-// Join queries against a fully independent scalar nested-loop oracle:
-// selections come from the public predicate API, matches from plain
-// nested loops over every join in declaration order, and grouping /
-// aggregation from scalar maps — none of the vectorized pipeline, no
-// planner reordering. Results must be bit-identical under every encoding;
-// plans with ORDER BY are additionally checked for sortedness and LIMIT
-// row count (positional order on tied sort keys is the executor's
-// deterministic tie-break, which the oracle does not model).
-// ---------------------------------------------------------------------------
-
-/// Scalar oracle result: one Group per composite key string.
-struct OracleGroup {
-  std::int64_t count = 0;
-  std::vector<std::int64_t> sum, mn, mx;
-};
-
-/// Runs the nested-loop + scalar-map oracle for an aggregate join plan.
-std::map<std::string, OracleGroup> run_join_oracle(Executor& ex, Catalog& cat,
-                                                   const LogicalPlan& plan) {
-  const Table& facts = cat.get(plan.table);
-  std::vector<const Table*> sides{&facts};  // side j+1 = join j's table
-  for (const JoinSpec& j : plan.joins) sides.push_back(&cat.get(j.table));
-
-  // Column resolution mirroring the executor: bare names bind probe
-  // first, then the joined tables in declaration order.
-  const auto resolve =
-      [&](const std::string& n) -> std::pair<std::size_t, const Column*> {
-    const auto dot = n.find('.');
-    if (dot != std::string::npos) {
-      const std::string t = n.substr(0, dot);
-      const std::string c = n.substr(dot + 1);
-      for (std::size_t s = 0; s < sides.size(); ++s)
-        if (sides[s]->name() == t) return {s, &sides[s]->column(c)};
-      throw Error("oracle: unknown table " + t);
-    }
-    for (std::size_t s = 0; s < sides.size(); ++s)
-      if (sides[s]->schema().has_column(n)) return {s, &sides[s]->column(n)};
-    throw Error("oracle: unknown column " + n);
-  };
-
-  // Selections through the public predicate API (encodings off).
-  ExecStats scratch;
-  const ExecOptions oracle_opts;
-  const BitVector psel =
-      ex.evaluate_predicates(facts, plan.predicates, scratch, oracle_opts);
-  std::vector<BitVector> bsel;
-  for (std::size_t j = 0; j < plan.joins.size(); ++j)
-    bsel.push_back(ex.evaluate_predicates(*sides[j + 1],
-                                          plan.joins[j].predicates, scratch,
-                                          oracle_opts));
-
-  // Nested-loop match tuples, one join at a time in declaration order.
-  std::vector<std::vector<std::size_t>> tuples;
-  psel.for_each_set([&](std::size_t i) { tuples.push_back({i}); });
-  for (std::size_t j = 0; j < plan.joins.size(); ++j) {
-    const JoinSpec& spec = plan.joins[j];
-    const auto [src_side, src_col] = resolve(spec.left_key);
-    const Column& right = sides[j + 1]->column(spec.right_key);
-    // Key equality in the VALUE domain, never dictionary codes: the two
-    // sides of a string (or double) join own independent dictionaries,
-    // so equal codes do not mean equal keys.
-    const TypeId kt = src_col->type();
-    std::vector<std::vector<std::size_t>> next;
-    for (const auto& tup : tuples) {
-      for (std::size_t b = 0; b < right.size(); ++b) {
-        if (!bsel[j].test(b)) continue;
-        bool eq;
-        if (kt == TypeId::kString)
-          eq = src_col->value_at(tup[src_side]).as_string() ==
-               right.value_at(b).as_string();
-        else if (kt == TypeId::kDouble)
-          eq = src_col->value_at(tup[src_side]).as_double() ==
-               right.value_at(b).as_double();
-        else
-          eq = src_col->int_at(tup[src_side]) == right.int_at(b);
-        if (!eq) continue;
-        auto extended = tup;
-        extended.push_back(b);
-        next.push_back(std::move(extended));
-      }
-    }
-    tuples = std::move(next);
-  }
-
-  // Scalar accumulation (the matrix uses COUNT/SUM/MIN/MAX on integer
-  // columns, so everything is exact int64 arithmetic).
-  std::map<std::string, OracleGroup> groups;
-  const std::size_t n_aggs = plan.aggregates.size();
-  for (const auto& tup : tuples) {
-    std::string key;
-    for (const std::string& gname : plan.group_by) {
-      const auto [s, c] = resolve(gname);
-      key += c->value_at(tup[s]).to_string() + "|";
-    }
-    OracleGroup& g = groups[key];
-    if (g.sum.empty()) {
-      g.sum.assign(n_aggs, 0);
-      g.mn.assign(n_aggs, std::numeric_limits<std::int64_t>::max());
-      g.mx.assign(n_aggs, std::numeric_limits<std::int64_t>::min());
-    }
-    ++g.count;
-    for (std::size_t ai = 0; ai < n_aggs; ++ai) {
-      const AggSpec& a = plan.aggregates[ai];
-      if (a.op == AggOp::kCount) continue;
-      EIDB_EXPECTS(a.op != AggOp::kAvg);  // oracle is integer-exact only
-      const auto [s, c] = resolve(a.column);
-      const std::int64_t v = c->int_at(tup[s]);
-      g.sum[ai] += v;
-      g.mn[ai] = std::min(g.mn[ai], v);
-      g.mx[ai] = std::max(g.mx[ai], v);
-    }
-  }
-  // A global aggregate over zero pairs still emits one zeroed row.
-  if (plan.group_by.empty() && groups.empty()) {
-    OracleGroup& g = groups[""];
-    g.sum.assign(n_aggs, 0);
-    g.mn.assign(n_aggs, 0);
-    g.mx.assign(n_aggs, 0);
-  }
-  return groups;
-}
-
-/// Checks an executed aggregate join result against the oracle groups:
-/// positional bijection without ORDER BY; membership + sortedness +
-/// LIMIT-bounded row count with it.
-void expect_matches_oracle(const QueryResult& got,
-                           const std::map<std::string, OracleGroup>& groups,
-                           const LogicalPlan& plan, const std::string& label) {
-  const std::size_t want_rows =
-      plan.limit != 0 ? std::min(plan.limit, groups.size()) : groups.size();
-  ASSERT_EQ(got.row_count(), want_rows) << label;
-  if (plan.order_by.has_value() && got.row_count() > 1) {
-    const std::size_t oc = got.column_index(plan.order_by->column);
-    for (std::size_t r = 0; r + 1 < got.row_count(); ++r) {
-      const storage::Value& a = got.at(r, oc);
-      const storage::Value& b = got.at(r + 1, oc);
-      const auto leq = [](const storage::Value& x, const storage::Value& y) {
-        if (x.is_string()) return x.as_string() <= y.as_string();
-        if (x.is_double() || y.is_double())
-          return x.as_double() <= y.as_double();
-        return x.as_int() <= y.as_int();
-      };
-      if (plan.order_by->ascending)
-        EXPECT_TRUE(leq(a, b)) << label << " row " << r;
-      else
-        EXPECT_TRUE(leq(b, a)) << label << " row " << r;
-    }
-  }
-  const std::size_t n_aggs = plan.aggregates.size();
-  for (std::size_t r = 0; r < got.row_count(); ++r) {
-    std::string key;
-    for (std::size_t gc = 0; gc < plan.group_by.size(); ++gc)
-      key += got.at(r, gc).to_string() + "|";
-    const auto it = groups.find(key);
-    ASSERT_TRUE(it != groups.end()) << label << " key " << key;
-    const OracleGroup& g = it->second;
-    for (std::size_t ai = 0; ai < n_aggs; ++ai) {
-      const std::size_t col = plan.group_by.size() + ai;
-      const std::int64_t got_v = got.at(r, col).as_int();
-      switch (plan.aggregates[ai].op) {
-        case AggOp::kCount:
-          EXPECT_EQ(got_v, g.count) << label << " key " << key;
-          break;
-        case AggOp::kSum:
-          EXPECT_EQ(got_v, g.sum[ai]) << label << " key " << key;
-          break;
-        case AggOp::kMin:
-          EXPECT_EQ(got_v, g.count ? g.mn[ai] : 0) << label;
-          break;
-        case AggOp::kMax:
-          EXPECT_EQ(got_v, g.count ? g.mx[ai] : 0) << label;
-          break;
-        case AggOp::kAvg:
-          break;
-      }
-    }
-  }
-}
-
+// Join queries against the independent scalar oracle (scalar_oracle.hpp):
+// nested loops over every join in declaration order, value-domain key
+// equality, no planner reordering. Results must be exact under every
+// encoding; plans with ORDER BY are checked for sortedness, LIMIT row
+// count and per-group values (the order of tied sort keys is the
+// executor's deterministic tie-break, which the oracle does not model).
 TEST(CompressedParity, JoinMatrixMatchesNestedLoopOracle) {
   Catalog cat = make_catalog(2026);
   Executor ex(cat);
@@ -496,10 +313,9 @@ TEST(CompressedParity, JoinMatrixMatchesNestedLoopOracle) {
       if (!plan.has_join() || !plan.is_aggregate()) continue;
       const std::string label =
           (forced ? storage::encoding_name(*forced) : "auto") + "/" + name;
-      const auto groups = run_join_oracle(ex, cat, plan);
       ExecStats stats;
       const QueryResult got = ex.execute(plan, stats);
-      expect_matches_oracle(got, groups, plan, label);
+      oracle::expect_matches(oracle::run(cat, plan), got, plan, label);
     }
   }
 }
@@ -569,10 +385,9 @@ TEST(CompressedParity, StarJoinOrderByLimitFromSqlEndToEnd) {
     recode_all(cat, forced);
     const std::string label =
         forced ? storage::encoding_name(*forced) : "auto";
-    const auto groups = run_join_oracle(ex, cat, plan);
     ExecStats stats;
     const QueryResult got = ex.execute(plan, stats);
-    expect_matches_oracle(got, groups, plan, label);
+    oracle::expect_matches(oracle::run(cat, plan), got, plan, label);
 
     // Per-operator attribution covers every charge: the deltas sum to
     // the query totals exactly, so per-operator joules (linear in

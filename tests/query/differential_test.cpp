@@ -1,17 +1,16 @@
 // Differential (oracle) testing: random plans run through the vectorized
-// executor AND a deliberately naive row-at-a-time interpreter; results must
-// match exactly. This is the strongest correctness net over the whole
-// query path (predicates, dictionary binding, grouping, aggregation,
-// ordering, limits).
+// executor AND the scalar oracle (scalar_oracle.hpp); results must match
+// row by row. This is the strongest correctness net over the whole query
+// path (predicates, dictionary binding, grouping, aggregation, ordering,
+// limits).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <map>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "query/executor.hpp"
+#include "scalar_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace eidb::query {
@@ -22,168 +21,30 @@ using storage::Column;
 using storage::Schema;
 using storage::Table;
 using storage::TypeId;
-using storage::Value;
 
-struct TestData {
-  Catalog catalog;
-  std::vector<std::int64_t> k;
-  std::vector<std::int64_t> v;
-  std::vector<double> d;
-  std::vector<std::string> s;
-};
-
-TestData make_data(std::uint64_t seed, std::size_t rows) {
-  TestData data;
+Catalog make_catalog(std::uint64_t seed, std::size_t rows) {
   Pcg32 rng(seed);
   const char* tags[] = {"alpha", "beta", "gamma", "delta", "epsilon"};
+  std::vector<std::int64_t> k, v;
+  std::vector<double> d;
+  std::vector<std::string> s;
   for (std::size_t i = 0; i < rows; ++i) {
-    data.k.push_back(rng.next_in_range(-50, 50));
-    data.v.push_back(rng.next_in_range(-1000, 1000));
-    data.d.push_back(rng.next_double() * 10 - 5);
-    data.s.emplace_back(tags[rng.next_bounded(5)]);
+    k.push_back(rng.next_in_range(-50, 50));
+    v.push_back(rng.next_in_range(-1000, 1000));
+    d.push_back(rng.next_double() * 10 - 5);
+    s.emplace_back(tags[rng.next_bounded(5)]);
   }
-  Table& t = data.catalog.add(Table("t", Schema({{"k", TypeId::kInt64},
-                                                 {"v", TypeId::kInt64},
-                                                 {"d", TypeId::kDouble},
-                                                 {"s", TypeId::kString}})));
-  t.set_column(0, Column::from_int64("k", data.k));
-  t.set_column(1, Column::from_int64("v", data.v));
-  t.set_column(2, Column::from_double("d", data.d));
-  t.set_column(3, Column::from_strings("s", data.s));
-  return data;
+  Catalog cat;
+  Table& t = cat.add(Table("t", Schema({{"k", TypeId::kInt64},
+                                        {"v", TypeId::kInt64},
+                                        {"d", TypeId::kDouble},
+                                        {"s", TypeId::kString}})));
+  t.set_column(0, Column::from_int64("k", k));
+  t.set_column(1, Column::from_int64("v", v));
+  t.set_column(2, Column::from_double("d", d));
+  t.set_column(3, Column::from_strings("s", s));
+  return cat;
 }
-
-/// Naive row-at-a-time reference interpreter for the plan subset the
-/// differential test generates (filters on k/d/s, optional group by s or
-/// (s,k), aggregates over v/d).
-class NaiveInterpreter {
- public:
-  explicit NaiveInterpreter(const TestData& data) : data_(data) {}
-
-  [[nodiscard]] std::vector<std::vector<Value>> run(const LogicalPlan& plan) {
-    // Filter.
-    std::vector<std::size_t> rows;
-    for (std::size_t i = 0; i < data_.k.size(); ++i)
-      if (matches(plan, i)) rows.push_back(i);
-
-    if (!plan.is_aggregate()) {
-      // Projection path is covered elsewhere; not generated here.
-      return {};
-    }
-
-    if (plan.group_by.empty()) {
-      std::vector<Value> row;
-      for (const AggSpec& a : plan.aggregates) row.push_back(agg(a, rows));
-      return {row};
-    }
-
-    // Grouping by string (and optionally k).
-    std::map<std::vector<std::string>, std::vector<std::size_t>> groups;
-    for (const std::size_t i : rows) {
-      std::vector<std::string> key;
-      for (const std::string& col : plan.group_by) {
-        if (col == "s") {
-          key.push_back(data_.s[i]);
-        } else {
-          // Zero-padded offset encoding so string order == numeric order.
-          char buf[32];
-          std::snprintf(buf, sizeof buf, "%06lld",
-                        static_cast<long long>(data_.k[i] + 1000));
-          key.emplace_back(buf);
-        }
-      }
-      groups[key].push_back(i);
-    }
-    std::vector<std::vector<Value>> out;
-    for (const auto& [key, members] : groups) {
-      std::vector<Value> row;
-      for (std::size_t c = 0; c < plan.group_by.size(); ++c) {
-        if (plan.group_by[c] == "s")
-          row.emplace_back(key[c]);
-        else
-          row.emplace_back(
-              static_cast<std::int64_t>(std::stoll(key[c])) - 1000);
-      }
-      for (const AggSpec& a : plan.aggregates) row.push_back(agg(a, members));
-      out.push_back(std::move(row));
-    }
-    return out;
-  }
-
- private:
-  [[nodiscard]] bool matches(const LogicalPlan& plan, std::size_t i) const {
-    for (const Predicate& p : plan.predicates) {
-      if (p.column == "k") {
-        if (data_.k[i] < p.lo.as_int() || data_.k[i] > p.hi.as_int())
-          return false;
-      } else if (p.column == "d") {
-        if (data_.d[i] < p.lo.as_double() || data_.d[i] > p.hi.as_double())
-          return false;
-      } else {  // s
-        if (data_.s[i] < p.lo.as_string() || data_.s[i] > p.hi.as_string())
-          return false;
-      }
-    }
-    return true;
-  }
-
-  [[nodiscard]] Value agg(const AggSpec& a,
-                          const std::vector<std::size_t>& rows) const {
-    if (a.op == AggOp::kCount)
-      return Value{static_cast<std::int64_t>(rows.size())};
-    if (a.column == "d") {
-      double sum = 0, mn = 0, mx = 0;
-      bool first = true;
-      for (const std::size_t i : rows) {
-        const double x = data_.d[i];
-        sum += x;
-        if (first || x < mn) mn = x;
-        if (first || x > mx) mx = x;
-        first = false;
-      }
-      switch (a.op) {
-        case AggOp::kSum:
-          return Value{sum};
-        case AggOp::kMin:
-          return Value{mn};
-        case AggOp::kMax:
-          return Value{mx};
-        case AggOp::kAvg:
-          return Value{rows.empty() ? 0.0
-                                    : sum / static_cast<double>(rows.size())};
-        default:
-          break;
-      }
-    }
-    std::int64_t sum = 0, mn = 0, mx = 0;
-    bool first = true;
-    for (const std::size_t i : rows) {
-      const std::int64_t x = data_.v[i];
-      sum += x;
-      if (first || x < mn) mn = x;
-      if (first || x > mx) mx = x;
-      first = false;
-    }
-    switch (a.op) {
-      case AggOp::kSum:
-        return Value{sum};
-      case AggOp::kMin:
-        return Value{mn};
-      case AggOp::kMax:
-        return Value{mx};
-      case AggOp::kAvg:
-        return Value{rows.empty()
-                         ? 0.0
-                         : static_cast<double>(sum) /
-                               static_cast<double>(rows.size())};
-      default:
-        break;
-    }
-    return {};
-  }
-
-  const TestData& data_;
-};
 
 LogicalPlan random_plan(Pcg32& rng) {
   QueryBuilder qb("t");
@@ -228,23 +89,9 @@ LogicalPlan random_plan(Pcg32& rng) {
   return qb.build();
 }
 
-void expect_value_eq(const Value& got, const Value& want,
-                     const std::string& context) {
-  if (want.is_double() || got.is_double()) {
-    const double w = want.as_double();
-    const double g = got.as_double();
-    EXPECT_NEAR(g, w, std::max(1e-9, std::abs(w) * 1e-9)) << context;
-  } else if (want.is_string()) {
-    EXPECT_EQ(got.as_string(), want.as_string()) << context;
-  } else {
-    EXPECT_EQ(got.as_int(), want.as_int()) << context;
-  }
-}
-
-TEST(Differential, RandomAggregatePlansMatchNaiveInterpreter) {
-  const TestData data = make_data(99, 3000);
-  Executor executor(data.catalog);
-  NaiveInterpreter naive(data);
+TEST(Differential, RandomAggregatePlansMatchScalarOracle) {
+  const Catalog cat = make_catalog(99, 3000);
+  Executor executor(cat);
   Pcg32 rng(123);
 
   int nontrivial = 0;
@@ -252,28 +99,23 @@ TEST(Differential, RandomAggregatePlansMatchNaiveInterpreter) {
     const LogicalPlan plan = random_plan(rng);
     ExecStats stats;
     const QueryResult got = executor.execute(plan, stats);
-    const auto want = naive.run(plan);
-    ASSERT_EQ(got.row_count(), want.size())
-        << "trial " << trial << ": " << plan.to_string();
-    if (!want.empty() && want.size() > 1) ++nontrivial;
-    for (std::size_t r = 0; r < want.size(); ++r) {
-      ASSERT_EQ(got.row(r).size(), want[r].size());
-      for (std::size_t c = 0; c < want[r].size(); ++c)
-        expect_value_eq(got.at(r, c), want[r][c],
-                        "trial " + std::to_string(trial) + " row " +
-                            std::to_string(r) + " col " + std::to_string(c) +
-                            ": " + plan.to_string());
-    }
+    const QueryResult want = oracle::run(cat, plan);
+    if (want.row_count() > 1) ++nontrivial;
+    // 5e-10 * (1 + |w|) never exceeds max(1e-9, 1e-9 * |w|).
+    oracle::expect_matches(want, got, plan,
+                           "trial " + std::to_string(trial) + ": " +
+                               plan.to_string(),
+                           5e-10);
   }
   EXPECT_GT(nontrivial, 20);  // the generator actually exercises grouping
 }
 
 // The engine's group ordering (composite key ascending) must agree with the
-// naive map ordering used above for (s) and (s, k) groupings — this test
+// oracle's map ordering used above for (s) and (s, k) groupings — this test
 // pins that contract so the differential comparison is row-by-row.
 TEST(Differential, GroupOrderingContract) {
-  const TestData data = make_data(7, 500);
-  Executor executor(data.catalog);
+  const Catalog cat = make_catalog(7, 500);
+  Executor executor(cat);
   ExecStats stats;
   const auto plan = QueryBuilder("t")
                         .group_by("s")

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "query/physical_plan.hpp"
+#include "scalar_oracle.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -672,7 +673,7 @@ TEST(Executor, JoinCompositeGroupAcrossBothTables) {
   EXPECT_EQ(total, 40);  // 4 qualifying ids x 10 rows each
 }
 
-TEST(Executor, JoinArmsAgreeWithLegacyPairPath) {
+TEST(Executor, JoinArmsAgreeWithScalarOracle) {
   const Catalog cat = make_catalog();
   Executor ex(cat);
   const auto plan = QueryBuilder("sales")
@@ -683,19 +684,16 @@ TEST(Executor, JoinArmsAgreeWithLegacyPairPath) {
                         .aggregate(AggOp::kSum, "amount")
                         .aggregate(AggOp::kAvg, "price")
                         .build();
-  std::vector<QueryResult> results;
-  for (const JoinPath path : {JoinPath::kPairMaterialize, JoinPath::kAuto,
-                              JoinPath::kDense, JoinPath::kHash,
-                              JoinPath::kRadix}) {
+  // Every pinned arm must equal the oracle exactly, AVG(price) included:
+  // its double sum folds in (probe asc, build asc) match order.
+  const QueryResult want = oracle::run(cat, plan);
+  for (const JoinPath path : {JoinPath::kAuto, JoinPath::kDense,
+                              JoinPath::kHash, JoinPath::kRadix}) {
     ExecStats stats;
     ExecOptions options;
     options.join_path = path;
-    results.push_back(ex.execute(plan, stats, options));
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    ASSERT_EQ(results[i].row_count(), results[0].row_count());
-    for (std::size_t c = 0; c < results[0].column_count(); ++c)
-      EXPECT_EQ(results[i].at(0, c), results[0].at(0, c)) << "path " << i;
+    oracle::expect_matches(want, ex.execute(plan, stats, options), plan,
+                           "path " + std::to_string(static_cast<int>(path)));
   }
 }
 
@@ -761,17 +759,6 @@ TEST(Executor, JoinRejectsUnsupportedShapesUpFront) {
   const Catalog cat = make_catalog();
   Executor ex(cat);
   ExecStats stats;
-  // Legacy pair path cannot group: must throw, never silently mis-answer.
-  {
-    ExecOptions options;
-    options.join_path = JoinPath::kPairMaterialize;
-    const auto plan = QueryBuilder("sales")
-                          .join("customers", "amount", "id")
-                          .group_by("region")
-                          .aggregate(AggOp::kCount)
-                          .build();
-    EXPECT_THROW((void)ex.execute(plan, stats, options), Error);
-  }
   // Without aliases, joining the same table twice makes every qualified
   // reference ambiguous — rejected rather than bound to the first
   // instance.
@@ -782,17 +769,6 @@ TEST(Executor, JoinRejectsUnsupportedShapesUpFront) {
                           .aggregate(AggOp::kCount)
                           .build();
     EXPECT_THROW((void)ex.execute(plan, stats), Error);
-  }
-  // The legacy path cannot chain joins either.
-  {
-    ExecOptions options;
-    options.join_path = JoinPath::kPairMaterialize;
-    const auto plan = QueryBuilder("sales")
-                          .join("customers", "amount", "id")
-                          .join("discounts", "amount", "amount")
-                          .aggregate(AggOp::kCount)
-                          .build();
-    EXPECT_THROW((void)ex.execute(plan, stats, options), Error);
   }
   // Expression aggregates over joins are rejected before any work runs.
   {

@@ -1,11 +1,11 @@
 // Parity of expression aggregates on the vectorized pipeline, where each
 // expression is evaluated per selection word from its leaves' packed or
-// plain views, against the row-at-a-time reference path, which
-// materializes the whole expression column. Counts, MIN and MAX must match
-// the oracle exactly; SUM and AVG within the tolerance block summation
-// needs, infinities exactly and NaN as equal to NaN. Between the plain and
-// packed vectorized runs (any pool width) every value must be
-// bit-identical, and the packed run never charges more DRAM bytes.
+// plain views, against the scalar oracle (scalar_oracle.hpp), which
+// evaluates the expression row by row. Counts, MIN and MAX must match the
+// oracle exactly; SUM and AVG within the tolerance block summation needs,
+// infinities exactly and NaN as equal to NaN. Between the plain and packed
+// vectorized runs (any pool width) every value must be bit-identical, and
+// the packed run never charges more DRAM bytes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +17,7 @@
 #include "exec/expression.hpp"
 #include "query/executor.hpp"
 #include "query/sql.hpp"
+#include "scalar_oracle.hpp"
 #include "sched/thread_pool.hpp"
 #include "storage/column.hpp"
 #include "util/rng.hpp"
@@ -75,41 +76,6 @@ Catalog make_catalog(std::uint64_t seed) {
   return cat;
 }
 
-bool is_nan(const Value& v) {
-  return v.is_double() && std::isnan(v.as_double());
-}
-
-/// Oracle comparison: exact for integers, MIN / MAX (order-free) and
-/// non-finite doubles; relative 1e-9 for finite SUM / AVG.
-void expect_matches_oracle(const QueryResult& want, const QueryResult& got,
-                           const std::string& label) {
-  ASSERT_EQ(want.column_names(), got.column_names()) << label;
-  ASSERT_EQ(want.row_count(), got.row_count()) << label;
-  for (std::size_t c = 0; c < want.column_count(); ++c) {
-    const std::string& name = want.column_names()[c];
-    const bool order_free = name.rfind("min(", 0) == 0 ||
-                            name.rfind("max(", 0) == 0 ||
-                            !(name.rfind("sum(", 0) == 0 ||
-                              name.rfind("avg(", 0) == 0);
-    for (std::size_t r = 0; r < want.row_count(); ++r) {
-      const Value& w = want.at(r, c);
-      const Value& g = got.at(r, c);
-      const std::string at = label + " row " + std::to_string(r) + " " + name;
-      if (is_nan(w) || is_nan(g)) {
-        EXPECT_TRUE(is_nan(w) && is_nan(g)) << at;
-      } else if (order_free || !w.is_double() ||
-                 !std::isfinite(w.as_double())) {
-        EXPECT_EQ(w, g) << at;
-      } else {
-        ASSERT_TRUE(g.is_double()) << at;
-        EXPECT_NEAR(w.as_double(), g.as_double(),
-                    1e-9 * (1.0 + std::abs(w.as_double())))
-            << at;
-      }
-    }
-  }
-}
-
 /// Bit-identical comparison (NaN equal to NaN).
 void expect_identical(const QueryResult& want, const QueryResult& got,
                       const std::string& label) {
@@ -119,7 +85,7 @@ void expect_identical(const QueryResult& want, const QueryResult& got,
     for (std::size_t c = 0; c < want.column_count(); ++c) {
       const Value& w = want.at(r, c);
       const Value& g = got.at(r, c);
-      if (is_nan(w) && is_nan(g)) continue;
+      if (oracle::is_nan(w) && oracle::is_nan(g)) continue;
       EXPECT_EQ(w, g) << label << " row " << r << " col " << c;
     }
 }
@@ -157,19 +123,17 @@ selections() {
 }
 
 /// Runs `plan` on the oracle, the plain vectorized path and the packed
-/// vectorized path at pool widths serial / 2 / 8.
+/// vectorized path at pool widths serial / 2 / 8. Finite SUM / AVG agree
+/// with the oracle within 1e-9 relative; everything else exactly.
 void check_plan(const Catalog& cat, const LogicalPlan& plan,
                 const std::string& label) {
   Executor ex(cat);
-  ExecOptions oracle_opts;
-  oracle_opts.agg_path = AggPath::kRowAtATime;
-  oracle_opts.use_encodings = false;
-  ExecStats oracle_stats, plain_stats;
-  const QueryResult oracle = ex.execute(plan, oracle_stats, oracle_opts);
+  const QueryResult want = oracle::run(cat, plan);
+  ExecStats plain_stats;
   ExecOptions plain_opts;
   plain_opts.use_encodings = false;
   const QueryResult plain = ex.execute(plan, plain_stats, plain_opts);
-  expect_matches_oracle(oracle, plain, label + " plain");
+  oracle::expect_matches(want, plain, plan, label + " plain", 1e-9);
 
   sched::ThreadPool pool2(2), pool8(8);
   for (sched::ThreadPool* pool :
@@ -182,7 +146,7 @@ void check_plan(const Catalog& cat, const LogicalPlan& plan,
     const std::string arm =
         label + " packed pool " +
         std::to_string(pool == nullptr ? 0 : pool->thread_count());
-    expect_matches_oracle(oracle, packed, arm);
+    oracle::expect_matches(want, packed, plan, arm, 1e-9);
     expect_identical(plain, packed, arm);
     EXPECT_LE(packed_stats.work.dram_bytes, plain_stats.work.dram_bytes)
         << arm;

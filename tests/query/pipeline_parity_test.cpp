@@ -1,14 +1,15 @@
-// Parity between the single-pass vectorized aggregation pipeline (the
-// default) and the preserved row-at-a-time reference path, plus the
-// single-pass accounting guarantees: a multi-aggregate group-by charges
-// each input column to the DRAM ledger exactly once and never rescans a
-// key column for min/max.
+// Parity between the single-pass vectorized aggregation pipeline and the
+// independent scalar oracle (scalar_oracle.hpp), plus the single-pass
+// accounting guarantees: a multi-aggregate group-by charges each input
+// column to the DRAM ledger exactly once and never rescans a key column
+// for min/max.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "query/executor.hpp"
+#include "scalar_oracle.hpp"
 #include "sched/thread_pool.hpp"
 #include "util/rng.hpp"
 
@@ -55,6 +56,8 @@ Catalog make_catalog(std::size_t rows = 20'000, std::uint64_t seed = 99) {
   return cat;
 }
 
+/// Serial vs morsel-parallel comparison: doubles within 1e-6 relative,
+/// everything else exact.
 void expect_results_match(const QueryResult& want, const QueryResult& got) {
   ASSERT_EQ(want.column_names(), got.column_names());
   ASSERT_EQ(want.row_count(), got.row_count());
@@ -74,16 +77,15 @@ void expect_results_match(const QueryResult& want, const QueryResult& got) {
   }
 }
 
-/// Runs `plan` on both aggregation paths and checks the results match.
+/// Runs `plan` on the engine and checks it against the scalar oracle
+/// (finite double sums within 1e-6 relative).
 void expect_parity(const Catalog& cat, const LogicalPlan& plan,
-                   ExecOptions options = {}) {
+                   const ExecOptions& options = {}) {
   Executor ex(cat);
-  ExecStats legacy_stats, vec_stats;
-  options.agg_path = AggPath::kRowAtATime;
-  const QueryResult want = ex.execute(plan, legacy_stats, options);
-  options.agg_path = AggPath::kVectorized;
-  const QueryResult got = ex.execute(plan, vec_stats, options);
-  expect_results_match(want, got);
+  ExecStats stats;
+  const QueryResult got = ex.execute(plan, stats, options);
+  oracle::expect_matches(oracle::run(cat, plan), got, plan, plan.to_string(),
+                         1e-6);
 }
 
 TEST(PipelineParity, GlobalMultiAggregate) {
@@ -197,7 +199,7 @@ TEST(PipelineParity, ParallelPoolMatchesSerial) {
   expect_results_match(serial, par);
 }
 
-TEST(PipelineParity, OrderedMaskedPredicatesMatchUnordered) {
+TEST(PipelineParity, OrderedMaskedPredicatesMatchOracle) {
   const Catalog cat = make_catalog();
   const auto plan = QueryBuilder("facts")
                         .filter_int("v64", -9'000, 9'000)   // wide
@@ -207,16 +209,8 @@ TEST(PipelineParity, OrderedMaskedPredicatesMatchUnordered) {
                         .aggregate(AggOp::kCount)
                         .aggregate(AggOp::kSum, "v64")
                         .build();
-  Executor ex(cat);
-  ExecStats ordered_stats, unordered_stats;
-  ExecOptions unordered;
-  unordered.order_predicates = false;
-  const QueryResult want = ex.execute(plan, unordered_stats, unordered);
-  const QueryResult got = ex.execute(plan, ordered_stats);
-  expect_results_match(want, got);
-  // Masked later predicates touch at most what full rescans would.
-  EXPECT_LE(ordered_stats.tuples_scanned, unordered_stats.tuples_scanned);
-  EXPECT_LE(ordered_stats.work.dram_bytes, unordered_stats.work.dram_bytes);
+  // The selective conjunct runs first; the other two run masked.
+  expect_parity(cat, plan);
 }
 
 TEST(SinglePassAccounting, EachInputColumnChargedExactlyOnce) {
@@ -254,13 +248,6 @@ TEST(SinglePassAccounting, EachInputColumnChargedExactlyOnce) {
   EXPECT_LE(stats.work.dram_bytes, plain_stats.work.dram_bytes);
   EXPECT_DOUBLE_EQ(stats.work.dram_bytes + stats.dram_bytes_saved,
                    plain_stats.work.dram_bytes);
-
-  // The row-at-a-time path pays one pass per AggSpec (plus key rescans).
-  ExecStats legacy_stats;
-  ExecOptions legacy;
-  legacy.agg_path = AggPath::kRowAtATime;
-  (void)ex.execute(plan, legacy_stats, legacy);
-  EXPECT_GT(legacy_stats.work.dram_bytes, stats.work.dram_bytes);
 }
 
 TEST(SinglePassAccounting, StatsPruningSkipsDecidedPredicates) {
@@ -291,8 +278,7 @@ TEST(SinglePassAccounting, StatsPruningSkipsDecidedPredicates) {
 
 TEST(PipelineParity, GroupByHashLikeInt64Keys) {
   // Key spread overflows a signed domain computation: the vectorized path
-  // must fall back to hashing (the legacy path has UB here, so expected
-  // values are computed directly).
+  // must fall back to hashing (expected values are computed directly).
   constexpr std::int64_t kLo = -5'000'000'000'000'000'000LL;
   constexpr std::int64_t kHi = 5'000'000'000'000'000'000LL;
   Catalog cat;

@@ -6,14 +6,16 @@
 // whichever shard count the FROM table is partitioned into — so the
 // fuzzer exercises the packed scan/agg kernels and the distributed
 // partial-merge / gather paths, not just the plain single-node ones.
+// Every generated aggregate statement is also checked against the scalar
+// oracle (scalar_oracle.hpp).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "query/executor.hpp"
 #include "query/sql.hpp"
+#include "scalar_oracle.hpp"
 #include "sched/thread_pool.hpp"
 #include "storage/column.hpp"
 #include "storage/table.hpp"
@@ -363,34 +365,14 @@ TEST(SqlFuzz, ExecutionParityUnderRandomEncodings) {
     if (shards == 1) {
       EXPECT_EQ(dist_stats.wire_messages, 0u) << sql;
     }
-    // Single ungrouped, unsorted joins also have the legacy
-    // pair-materializing oracle — but it only ever read FROM-table
-    // aggregate columns, so skip statements with build-side (qualified)
-    // aggregates, and it supports neither chains nor ORDER BY, nor the
-    // code-domain (string / double) join keys compile_plan rejects on it.
-    const bool probe_side_only =
-        std::all_of(plan.aggregates.begin(), plan.aggregates.end(),
-                    [](const AggSpec& a) {
-                      return a.column.find('.') == std::string::npos;
-                    });
-    const bool int_keyed =
-        plan.joins.size() != 1 ||
-        [&] {
-          const storage::TypeId kt = cat.get(plan.joins[0].table)
-                                         .column(plan.joins[0].right_key)
-                                         .type();
-          return kt == storage::TypeId::kInt32 ||
-                 kt == storage::TypeId::kInt64;
-        }();
-    if (plan.joins.size() == 1 && !plan.has_group_by() && probe_side_only &&
-        !plan.order_by.has_value() && int_keyed) {
-      ExecOptions legacy_opts;
-      legacy_opts.use_encodings = false;
-      legacy_opts.join_path = JoinPath::kPairMaterialize;
-      ExecStats legacy_stats;
-      const QueryResult legacy = ex.execute(plan, legacy_stats, legacy_opts);
-      expect_identical(legacy, "legacy-join");
-    }
+    // Every aggregate statement must also equal the scalar oracle:
+    // nested-loop matches with value-domain keys, whatever the key type,
+    // join count, grouping or ORDER BY. Integer cells (all of them in join
+    // statements) compare exactly; finite double SUM / AVG within 1e-9
+    // relative, since the engine sums in blocks.
+    if (plan.is_aggregate())
+      oracle::expect_matches(oracle::run(cat, plan), want, plan,
+                             "oracle: " + sql, 1e-9);
   }
 }
 

@@ -20,8 +20,7 @@ std::vector<std::byte> to_bytes(const std::string& s) {
 void expect_roundtrip(const std::vector<std::byte>& in) {
   const auto compressed = lz_compress(in);
   const auto back = lz_decompress(compressed, in.size());
-  ASSERT_EQ(back.size(), in.size());
-  EXPECT_EQ(std::memcmp(back.data(), in.data(), in.size()), 0);
+  EXPECT_EQ(back, in);
 }
 
 TEST(Lz, EmptyInput) { expect_roundtrip({}); }
