@@ -95,7 +95,7 @@ void BM_ScanPacked(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * values.size());
 }
-BENCHMARK(BM_ScanPacked)->Arg(8)->Arg(12)->Arg(16)->Arg(32);
+BENCHMARK(BM_ScanPacked)->Arg(4)->Arg(6)->Arg(8)->Arg(12)->Arg(16)->Arg(32);
 
 // -- bit packing ----------------------------------------------------------------
 
@@ -122,6 +122,33 @@ void BM_BitUnpack(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * values.size());
 }
 BENCHMARK(BM_BitUnpack);
+
+// The one block-decode entry point of every packed consumer, at the star
+// schema's column widths (prio 3, discount 4, quantity 6, orderdate 12,
+// custkey 15, revenue 17 bits).
+void BM_BitUnpackBlock64(benchmark::State& state) {
+  const auto bits = static_cast<unsigned>(state.range(0));
+  const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
+  Pcg32 rng(6);
+  std::vector<std::uint64_t> values(1 << 18);
+  for (auto& v : values) v = rng.next64() & mask;
+  const auto packed = storage::bitpack(values, bits);
+  alignas(64) std::uint64_t out[64];
+  for (auto _ : state) {
+    for (std::size_t block = 0; block < values.size(); block += 64) {
+      storage::bitunpack_block64(packed, bits, block, out);
+      benchmark::DoNotOptimize(out);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * values.size());
+}
+BENCHMARK(BM_BitUnpackBlock64)
+    ->Arg(3)
+    ->Arg(4)
+    ->Arg(6)
+    ->Arg(12)
+    ->Arg(15)
+    ->Arg(17);
 
 // -- codecs ----------------------------------------------------------------------
 

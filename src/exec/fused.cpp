@@ -47,15 +47,23 @@ void scan_bitmap_masked64(std::span<const std::int64_t> values,
 
 namespace {
 
-/// Shared masked-scan core: `pred(i)` decides row i; dead 64-tuple words
-/// are skipped without touching the data.
+/// Last selection word (exclusive) of a range over an n-row column.
+std::size_t range_end(std::size_t n, std::size_t word_end) {
+  return std::min(word_end, (n + 63) / 64);
+}
+
+/// Shared masked-scan core over selection words [word_begin, word_end):
+/// `pred(i)` decides row i; dead 64-tuple words are skipped without
+/// touching the data.
 template <typename Pred>
 void masked_scan_impl(std::size_t n, BitVector& selection,
-                      MaskedScanStats& stats, Pred&& pred) {
+                      MaskedScanStats& stats, std::size_t word_begin,
+                      std::size_t word_end, Pred&& pred) {
   EIDB_EXPECTS(selection.size() >= n);
   std::uint64_t* words = selection.words();
   stats = MaskedScanStats{};
-  for (std::size_t w = 0; w * 64 < n; ++w) {
+  const std::size_t word_stop = range_end(n, word_end);
+  for (std::size_t w = word_begin; w < word_stop; ++w) {
     ++stats.words_total;
     std::uint64_t live = words[w];
     if (live == 0) {
@@ -78,14 +86,18 @@ void masked_scan_impl(std::size_t n, BitVector& selection,
 void scan_bitmap_masked64_counted(std::span<const std::int64_t> values,
                                   std::int64_t lo, std::int64_t hi,
                                   BitVector& selection,
-                                  MaskedScanStats& stats) {
+                                  MaskedScanStats& stats,
+                                  std::size_t word_begin,
+                                  std::size_t word_end) {
   const std::uint64_t width =
       static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
-  masked_scan_impl(values.size(), selection, stats, [&](std::size_t i) {
-    const std::uint64_t shifted = static_cast<std::uint64_t>(values[i]) -
-                                  static_cast<std::uint64_t>(lo);
-    return shifted <= width;
-  });
+  masked_scan_impl(values.size(), selection, stats, word_begin, word_end,
+                   [&](std::size_t i) {
+                     const std::uint64_t shifted =
+                         static_cast<std::uint64_t>(values[i]) -
+                         static_cast<std::uint64_t>(lo);
+                     return shifted <= width;
+                   });
 }
 
 void scan_bitmap_masked32(std::span<const std::int32_t> values,
@@ -98,14 +110,18 @@ void scan_bitmap_masked32(std::span<const std::int32_t> values,
 void scan_bitmap_masked32_counted(std::span<const std::int32_t> values,
                                   std::int32_t lo, std::int32_t hi,
                                   BitVector& selection,
-                                  MaskedScanStats& stats) {
+                                  MaskedScanStats& stats,
+                                  std::size_t word_begin,
+                                  std::size_t word_end) {
   const std::uint32_t width =
       static_cast<std::uint32_t>(hi) - static_cast<std::uint32_t>(lo);
-  masked_scan_impl(values.size(), selection, stats, [&](std::size_t i) {
-    const std::uint32_t shifted = static_cast<std::uint32_t>(values[i]) -
-                                  static_cast<std::uint32_t>(lo);
-    return shifted <= width;
-  });
+  masked_scan_impl(values.size(), selection, stats, word_begin, word_end,
+                   [&](std::size_t i) {
+                     const std::uint32_t shifted =
+                         static_cast<std::uint32_t>(values[i]) -
+                         static_cast<std::uint32_t>(lo);
+                     return shifted <= width;
+                   });
 }
 
 void scan_bitmap_masked_double(std::span<const double> values, double lo,
@@ -117,24 +133,30 @@ void scan_bitmap_masked_double(std::span<const double> values, double lo,
 void scan_bitmap_masked_double_counted(std::span<const double> values,
                                        double lo, double hi,
                                        BitVector& selection,
-                                       MaskedScanStats& stats) {
-  masked_scan_impl(values.size(), selection, stats, [&](std::size_t i) {
-    return values[i] >= lo && values[i] <= hi;
-  });
+                                       MaskedScanStats& stats,
+                                       std::size_t word_begin,
+                                       std::size_t word_end) {
+  masked_scan_impl(values.size(), selection, stats, word_begin, word_end,
+                   [&](std::size_t i) {
+                     return values[i] >= lo && values[i] <= hi;
+                   });
 }
 
 void scan_packed_bitmap_masked_counted(std::span<const std::uint64_t> packed,
                                        unsigned bits, std::size_t count,
                                        std::uint64_t lo, std::uint64_t hi,
                                        BitVector& selection,
-                                       MaskedScanStats& stats) {
+                                       MaskedScanStats& stats,
+                                       std::size_t word_begin,
+                                       std::size_t word_end) {
   EIDB_EXPECTS(selection.size() >= count);
   std::uint64_t* words = selection.words();
   stats = MaskedScanStats{};
   const std::uint64_t mask =
       bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+  const std::size_t word_stop = range_end(count, word_end);
   if (lo > mask) {  // nothing representable can match
-    for (std::size_t w = 0; w * 64 < count; ++w) {
+    for (std::size_t w = word_begin; w < word_stop; ++w) {
       ++stats.words_total;
       words[w] = 0;
     }
@@ -164,7 +186,7 @@ void scan_packed_bitmap_masked_counted(std::span<const std::uint64_t> packed,
   };
 
   alignas(64) std::uint64_t buf[64];
-  for (std::size_t w = 0; w * 64 < count; ++w) {
+  for (std::size_t w = word_begin; w < word_stop; ++w) {
     ++stats.words_total;
     const std::uint64_t live = words[w];
     if (live == 0) {

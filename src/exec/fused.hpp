@@ -36,16 +36,29 @@ void scan_bitmap_masked64(std::span<const std::int64_t> values,
                           BitVector& selection);
 
 /// Statistics from the last masked scan (words skipped vs. visited) — for
-/// tests and the A3 ablation. Returned by the _counted variant.
+/// tests, the A3 ablation and the executor's visited-bytes charge.
+/// Returned by the _counted variants.
 struct MaskedScanStats {
   std::uint64_t words_total = 0;
   std::uint64_t words_skipped = 0;
 };
 
+/// Word-range end meaning "through the column's last selection word".
+inline constexpr std::size_t kAllWords = ~std::size_t{0};
+
+// The _counted variants evaluate selection words [word_begin, word_end)
+// only — rows [64 * word_begin, min(64 * word_end, column size)) — and
+// reset `stats` to that range's words. Disjoint word ranges touch disjoint
+// selection words, so they may run concurrently on one selection: this is
+// the morsel-parallel form the executor fans out, summing the per-range
+// stats. The defaults cover the whole column.
+
 void scan_bitmap_masked64_counted(std::span<const std::int64_t> values,
                                   std::int64_t lo, std::int64_t hi,
                                   BitVector& selection,
-                                  MaskedScanStats& stats);
+                                  MaskedScanStats& stats,
+                                  std::size_t word_begin = 0,
+                                  std::size_t word_end = kAllWords);
 
 /// int32 / dictionary-code masked conjunctive scan.
 void scan_bitmap_masked32(std::span<const std::int32_t> values,
@@ -55,7 +68,9 @@ void scan_bitmap_masked32(std::span<const std::int32_t> values,
 void scan_bitmap_masked32_counted(std::span<const std::int32_t> values,
                                   std::int32_t lo, std::int32_t hi,
                                   BitVector& selection,
-                                  MaskedScanStats& stats);
+                                  MaskedScanStats& stats,
+                                  std::size_t word_begin = 0,
+                                  std::size_t word_end = kAllWords);
 
 /// Double masked conjunctive scan.
 void scan_bitmap_masked_double(std::span<const double> values, double lo,
@@ -64,7 +79,9 @@ void scan_bitmap_masked_double(std::span<const double> values, double lo,
 void scan_bitmap_masked_double_counted(std::span<const double> values,
                                        double lo, double hi,
                                        BitVector& selection,
-                                       MaskedScanStats& stats);
+                                       MaskedScanStats& stats,
+                                       std::size_t word_begin = 0,
+                                       std::size_t word_end = kAllWords);
 
 /// Masked conjunctive scan over a bit-packed column image: dead 64-row
 /// selection words are skipped without unpacking anything; live words
@@ -74,6 +91,8 @@ void scan_packed_bitmap_masked_counted(std::span<const std::uint64_t> packed,
                                        unsigned bits, std::size_t count,
                                        std::uint64_t lo, std::uint64_t hi,
                                        BitVector& selection,
-                                       MaskedScanStats& stats);
+                                       MaskedScanStats& stats,
+                                       std::size_t word_begin = 0,
+                                       std::size_t word_end = kAllWords);
 
 }  // namespace eidb::exec

@@ -43,9 +43,10 @@ struct JoinPair {
 
 /// Typed, possibly bit-packed view of an integer join-key column. The
 /// executor hands both sides to the kernels through this view, so packed
-/// key columns (storage::EncodedSegment images) are decoded per accessed
-/// row — the column's DRAM traffic is its packed image, and the widened
-/// int64 copy of the pre-vectorized join path is gone.
+/// key columns (storage::EncodedSegment images) are decoded in place — a
+/// 64-row block at a time where enough of its rows are read
+/// (decode_block), per accessed row otherwise. The column's DRAM traffic
+/// is its packed image; no widened int64 copy is made.
 class JoinKeys {
  public:
   static JoinKeys from(std::span<const std::int32_t> v) {
@@ -94,6 +95,22 @@ class JoinKeys {
         return remap_[static_cast<std::size_t>(i32_[i])];
     }
     return 0;
+  }
+  [[nodiscard]] bool is_packed() const { return kind_ == Kind::kPacked; }
+  /// Packed views only: decodes the 64-row block at `base` into
+  /// key[0..64) and returns true when the shared storage::unpack_whole_block
+  /// rule says decoding pays for `lanes` read rows. Returns false (key
+  /// untouched) otherwise — the caller then reads rows with at().
+  [[nodiscard]] bool decode_block(std::size_t base, std::size_t lanes,
+                                  std::int64_t key[64]) const {
+    if (kind_ != Kind::kPacked ||
+        !storage::unpack_whole_block(packed_, base, lanes))
+      return false;
+    alignas(64) std::uint64_t buf[64];
+    storage::bitunpack_block64(packed_.words, packed_.bits, base, buf);
+    for (std::size_t j = 0; j < 64; ++j)
+      key[j] = packed_.reference + static_cast<std::int64_t>(buf[j]);
+    return true;
   }
   [[nodiscard]] std::size_t size() const {
     switch (kind_) {
@@ -220,15 +237,22 @@ std::uint64_t probe_join_blocks(const JoinTable& table,
   };
   const std::uint64_t* words = probe_selection.words();
   const std::size_t end = std::min(word_end, probe_selection.word_count());
+  alignas(64) std::int64_t block_keys[64];
   for (std::size_t w = word_begin; w < end; ++w) {
     std::uint64_t bits = words[w];
     if (bits == 0) continue;
     const std::size_t base = w * 64;
+    // Packed probe keys decode once per selection word (when enough of
+    // its rows are probed), not once per row.
+    const bool decoded = probe_keys.decode_block(
+        base, static_cast<std::size_t>(__builtin_popcountll(bits)),
+        block_keys);
     while (bits != 0) {
       const auto j = static_cast<std::size_t>(__builtin_ctzll(bits));
       bits &= bits - 1;
       const std::size_t i = base + j;
-      table.probe(probe_keys.at(i), [&](std::uint32_t build_row) {
+      const std::int64_t key = decoded ? block_keys[j] : probe_keys.at(i);
+      table.probe(key, [&](std::uint32_t build_row) {
         if (limit_pairs != 0 && pairs >= limit_pairs) return;
         bld[k] = build_row;
         prb[k] = static_cast<std::uint32_t>(i);

@@ -66,14 +66,6 @@ void acc_word_bits(const T* data, std::size_t base, std::uint64_t bits,
   }
 }
 
-/// Partial words with at least 16 selected rows amortize one vectorizable
-/// unpack of their whole 64-value block; sparser ones pay the cheaper
-/// per-row random access. The block must lie inside the column.
-bool unpack_whole_block(const storage::PackedView& pv, std::size_t base,
-                        std::size_t selected) {
-  return selected >= 16 && base + 64 <= pv.count;
-}
-
 /// Packed-input accumulate: full words unpack one 64-value block into a
 /// stack buffer (the only memory touched is the packed image); partial
 /// words random-access the surviving bits.
@@ -98,7 +90,7 @@ void acc_word_packed(const storage::PackedView& pv, InputAcc& acc,
     return;
   }
   alignas(64) std::uint64_t buf[64];
-  const bool unpack_block = unpack_whole_block(
+  const bool unpack_block = storage::unpack_whole_block(
       pv, base, static_cast<std::size_t>(__builtin_popcountll(bits)));
   if (unpack_block) storage::bitunpack_block64(pv.words, pv.bits, base, buf);
   while (bits != 0) {
@@ -134,7 +126,7 @@ void load_plain(const T* data, std::size_t base, const std::uint32_t* lane,
 
 void load_packed(const storage::PackedView& pv, std::size_t base,
                  const std::uint32_t* lane, std::size_t k, double* dst) {
-  if (lane == nullptr || unpack_whole_block(pv, base, k)) {
+  if (lane == nullptr || storage::unpack_whole_block(pv, base, k)) {
     alignas(64) std::uint64_t buf[64];
     storage::bitunpack_block64(pv.words, pv.bits, base, buf);
     if (lane == nullptr) {
@@ -409,7 +401,7 @@ void acc_block_grouped_packed(const storage::PackedView& pv,
   // acc_word_packed.
   const std::size_t base = k > 0 ? (idx[0] / 64) * 64 : 0;
   alignas(64) std::uint64_t buf[64];
-  const bool unpack_block = unpack_whole_block(pv, base, k);
+  const bool unpack_block = storage::unpack_whole_block(pv, base, k);
   if (unpack_block) storage::bitunpack_block64(pv.words, pv.bits, base, buf);
   for (std::size_t e = 0; e < k; ++e) {
     const std::int64_t v =
@@ -433,6 +425,26 @@ struct PackedKeys {
   [[nodiscard]] std::size_t size() const { return view.count; }
 };
 
+/// Reads the keys of rows idx[0..k) — all inside the 64-row block at
+/// `base` — into key[0..k). A packed key column decodes the whole block
+/// once under the shared storage::unpack_whole_block rule.
+template <typename Keys>
+void gather_keys(const Keys& keys, const std::uint32_t* idx, std::size_t k,
+                 std::size_t base, std::int64_t* key) {
+  if constexpr (std::is_same_v<Keys, PackedKeys>) {
+    const storage::PackedView& pv = keys.view;
+    if (storage::unpack_whole_block(pv, base, k)) {
+      alignas(64) std::uint64_t buf[64];
+      storage::bitunpack_block64(pv.words, pv.bits, base, buf);
+      for (std::size_t e = 0; e < k; ++e)
+        key[e] = pv.reference + static_cast<std::int64_t>(buf[idx[e] - base]);
+      return;
+    }
+  }
+  for (std::size_t e = 0; e < k; ++e)
+    key[e] = static_cast<std::int64_t>(keys[idx[e]]);
+}
+
 /// Core grouped pass, templated over key width. `resolve` maps a key to a
 /// dense slot id (identity-offset for the dense strategy, hash lookup
 /// otherwise). Processes selection words [word_begin, word_end).
@@ -445,6 +457,7 @@ void grouped_acc_range(const Keys& keys,
   const std::uint64_t* words = selection.words();
   std::vector<double> stack = expr_stack(inputs);
   std::uint32_t idx[64];
+  std::int64_t key[64];
   std::uint32_t slot[64];
   for (std::size_t w = word_begin; w < word_end; ++w) {
     std::uint64_t bits = words[w];
@@ -458,8 +471,8 @@ void grouped_acc_range(const Keys& keys,
     }
     // Key column touched once per row: slots computed for the whole block,
     // then every input accumulates column-at-a-time over the block.
-    for (std::size_t e = 0; e < k; ++e)
-      slot[e] = resolve(static_cast<std::int64_t>(keys[idx[e]]));
+    gather_keys(keys, idx, k, base, key);
+    for (std::size_t e = 0; e < k; ++e) slot[e] = resolve(key[e]);
     for (std::size_t e = 0; e < k; ++e) ++acc.counts[slot[e]];
     for (std::size_t j = 0; j < inputs.size(); ++j) {
       const AggInput& in = inputs[j];

@@ -195,9 +195,11 @@ struct GroupedAggs {
     std::span<const AggInput> inputs, const BitVector& selection,
     KeyRange range = {}, std::size_t morsel_rows = kDefaultMorselRows);
 
-/// Bit-packed key column, decoded per selected row (reference + packed
-/// value): the key column's DRAM traffic is its packed image. Output keys
-/// are the decoded values, exactly as the plain-key overloads produce.
+/// Bit-packed key column, decoded in place (reference + packed value) a
+/// 64-row block at a time under storage::unpack_whole_block, per selected
+/// row otherwise: the key column's DRAM traffic is its packed image.
+/// Output keys are the decoded values, exactly as the plain-key overloads
+/// produce.
 [[nodiscard]] GroupedAggs grouped_multi_aggregate_packed(
     const storage::PackedView& keys, std::span<const AggInput> inputs,
     const BitVector& selection, KeyRange range = {},

@@ -149,16 +149,31 @@ class ChainDriver {
       next(s + 1, ptrs_[s].data(), k);
       k = 0;
     };
-    for (std::size_t i = 0; i < n; ++i) {
-      if (stop_) break;
-      const std::uint32_t src = rows[st.source_side][i];
-      st.probe(st.source_keys.at(src), [&](std::uint32_t build_row) {
-        if (stop_) return;
-        for (std::size_t side = 0; side <= s; ++side)
-          out[side][k] = rows[side][i];
-        out[s + 1][k] = build_row;
-        if (++k == exec::kJoinBlockRows) flush();
-      });
+    const std::uint32_t* src = rows[st.source_side];
+    const bool packed = st.source_keys.is_packed();
+    alignas(64) std::int64_t block_keys[64];
+    for (std::size_t i = 0; i < n && !stop_;) {
+      // A run of tuples whose source rows fall inside one 64-row block
+      // (side 0 arrives in probe order, so its runs are long) decodes a
+      // packed source key block once instead of once per tuple.
+      const std::size_t base = src[i] & ~std::size_t{63};
+      std::size_t run_end = i + 1;
+      if (packed)
+        while (run_end < n && (src[run_end] & ~std::size_t{63}) == base)
+          ++run_end;
+      const bool decoded =
+          st.source_keys.decode_block(base, run_end - i, block_keys);
+      for (; i < run_end && !stop_; ++i) {
+        const std::int64_t key = decoded ? block_keys[src[i] - base]
+                                         : st.source_keys.at(src[i]);
+        st.probe(key, [&](std::uint32_t build_row) {
+          if (stop_) return;
+          for (std::size_t side = 0; side <= s; ++side)
+            out[side][k] = rows[side][i];
+          out[s + 1][k] = build_row;
+          if (++k == exec::kJoinBlockRows) flush();
+        });
+      }
     }
     flush();
   }
@@ -307,7 +322,8 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
       stats, stream_materialize ? op_name + "+materialize" : op_name);
 
   // ---- Join keys, consumed without widening: int64/int32 spans read in
-  // place, bit-packed images decoded per probed row. ----
+  // place, bit-packed images decoded in place a 64-row block at a time
+  // (JoinKeys::decode_block). ----
   const auto keys_of = [&](const Table& t, const Column& c) {
     if (use_packed(c, options) &&
         plain_required.count(OpContext::charge_key(t, c)) == 0) {

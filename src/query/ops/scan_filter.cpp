@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "exec/fused.hpp"
 #include "exec/parallel.hpp"
@@ -219,36 +220,61 @@ void apply_predicate_masked(OpContext& ctx, const Table& table,
   if (prune_with_stats(column, r, selection)) return;
 
   const bool packed = !r.is_double && use_packed(column, options);
-  exec::MaskedScanStats ms;
-  if (packed) {
-    const storage::EncodedSegment& seg = *column.encoded();
-    const auto pb = packed_bounds(seg, r.lo, r.hi);
-    exec::scan_packed_bitmap_masked_counted(seg.words, seg.bits,
-                                            column.size(), pb.lo, pb.hi,
-                                            selection, ms);
-  } else {
+  const storage::EncodedSegment* seg = packed ? column.encoded() : nullptr;
+  const PackedBounds pb =
+      packed ? packed_bounds(*seg, r.lo, r.hi) : PackedBounds{0, 0};
+  const auto lo32 = static_cast<std::int32_t>(std::clamp<std::int64_t>(
+      r.lo, std::numeric_limits<std::int32_t>::min(),
+      std::numeric_limits<std::int32_t>::max()));
+  const auto hi32 = static_cast<std::int32_t>(std::clamp<std::int64_t>(
+      r.hi, std::numeric_limits<std::int32_t>::min(),
+      std::numeric_limits<std::int32_t>::max()));
+  // One masked pass over selection words [wb, we), counted into `part`.
+  const auto scan_words = [&](std::size_t wb, std::size_t we,
+                              exec::MaskedScanStats& part) {
+    if (packed) {
+      exec::scan_packed_bitmap_masked_counted(seg->words, seg->bits,
+                                              column.size(), pb.lo, pb.hi,
+                                              selection, part, wb, we);
+      return;
+    }
     switch (column.type()) {
       case TypeId::kInt64:
         exec::scan_bitmap_masked64_counted(column.int64_data(), r.lo, r.hi,
-                                           selection, ms);
+                                           selection, part, wb, we);
         break;
       case TypeId::kInt32:
-      case TypeId::kString: {
-        const auto lo = static_cast<std::int32_t>(std::clamp<std::int64_t>(
-            r.lo, std::numeric_limits<std::int32_t>::min(),
-            std::numeric_limits<std::int32_t>::max()));
-        const auto hi = static_cast<std::int32_t>(std::clamp<std::int64_t>(
-            r.hi, std::numeric_limits<std::int32_t>::min(),
-            std::numeric_limits<std::int32_t>::max()));
-        exec::scan_bitmap_masked32_counted(column.int32_data(), lo, hi,
-                                           selection, ms);
+      case TypeId::kString:
+        exec::scan_bitmap_masked32_counted(column.int32_data(), lo32, hi32,
+                                           selection, part, wb, we);
         break;
-      }
       case TypeId::kDouble:
         exec::scan_bitmap_masked_double_counted(column.double_data(), r.dlo,
-                                                r.dhi, selection, ms);
+                                                r.dhi, selection, part, wb,
+                                                we);
         break;
     }
+  };
+  // Morsel-parallel on the pool, like the first conjunct's parallel scan:
+  // each morsel owns whole selection words and keeps its own stats, and
+  // their sum is exactly what one serial pass counts. A single-morsel
+  // column (a dimension table) stays on the calling thread.
+  exec::MaskedScanStats ms;
+  const std::size_t total_words = (column.size() + 63) / 64;
+  constexpr std::size_t kMorselWords = exec::kDefaultMorselRows / 64;
+  if (options.pool != nullptr && total_words > kMorselWords) {
+    std::vector<exec::MaskedScanStats> parts(
+        (total_words + kMorselWords - 1) / kMorselWords);
+    options.pool->parallel_for(
+        total_words, kMorselWords, [&](std::size_t wb, std::size_t we) {
+          scan_words(wb, we, parts[wb / kMorselWords]);
+        });
+    for (const exec::MaskedScanStats& part : parts) {
+      ms.words_total += part.words_total;
+      ms.words_skipped += part.words_skipped;
+    }
+  } else {
+    scan_words(0, total_words, ms);
   }
   // Charge only what was visited: dead 64-row blocks cost neither cycles
   // nor DRAM traffic — this is where ordering predicates most-selective-

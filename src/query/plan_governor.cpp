@@ -33,7 +33,8 @@ OperatorKind classify_operator(std::string_view name) {
   if (starts_with(name, "hash-join") || starts_with(name, "radix-join") ||
       starts_with(name, "dense-join") || starts_with(name, "join"))
     return OperatorKind::kJoin;
-  if (starts_with(name, "aggregate")) return OperatorKind::kAggregate;
+  if (starts_with(name, "aggregate") || starts_with(name, "group-aggregate"))
+    return OperatorKind::kAggregate;
   if (starts_with(name, "top-k") || starts_with(name, "sort"))
     return OperatorKind::kSort;
   if (starts_with(name, "materialize")) return OperatorKind::kMaterialize;

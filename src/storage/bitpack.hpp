@@ -31,7 +31,12 @@ void bitunpack(std::span<const std::uint64_t> packed, unsigned bits,
                std::size_t count, std::span<std::uint64_t> out);
 
 /// Unpacks the 64-value block starting at value index `block_start`
-/// (a multiple of 64) into `out[0..63]`. Fast path used by packed scans.
+/// (a multiple of 64) into `out[0..63]`. This is the one block-decode entry
+/// point of every packed scan, aggregation, group and join-probe consumer:
+/// it dispatches to one of 65 width-specialized unpackers whose per-lane
+/// word, shift and mask are compile-time constants (no `-march` needed).
+/// Precondition: the whole block lies inside `packed` (see
+/// unpack_whole_block for the consumer-side rule).
 void bitunpack_block64(std::span<const std::uint64_t> packed, unsigned bits,
                        std::size_t block_start, std::uint64_t out[64]);
 
@@ -71,5 +76,19 @@ struct PackedView {
            static_cast<std::int64_t>(bitpacked_at(words, bits, i));
   }
 };
+
+/// Fewest rows of one 64-row block a consumer must read before decoding
+/// the whole block beats per-row bitpacked_at.
+inline constexpr std::size_t kUnpackBlockMinLanes = 16;
+
+/// The shared per-block decode rule of every packed consumer: decode the
+/// 64-row block at `base` (a multiple of 64) with bitunpack_block64 when
+/// it lies inside the column and at least kUnpackBlockMinLanes of its
+/// rows are read; otherwise read the rows one by one with value_at.
+[[nodiscard]] inline bool unpack_whole_block(const PackedView& pv,
+                                             std::size_t base,
+                                             std::size_t lanes) {
+  return lanes >= kUnpackBlockMinLanes && base + 64 <= pv.count;
+}
 
 }  // namespace eidb::storage

@@ -201,6 +201,57 @@ TEST(JoinBlocks, PackedKeysDecodeInPlace) {
   }
 }
 
+TEST(JoinBlocks, PackedProbeBlockDecodeBoundaries) {
+  // Selection words with 64, 16, 15 and 1 probed lanes straddle the
+  // block-decode threshold (16 lanes); the partial last word is read per
+  // row. Hash and dense arms must match the nested-loop oracle exactly,
+  // order included.
+  constexpr std::size_t kNp = 64 * 9 + 37;
+  Pcg32 rng(77);
+  std::vector<std::int64_t> build(300), probe(kNp);
+  for (auto& k : build) k = static_cast<std::int64_t>(rng.next_bounded(90)) - 20;
+  for (auto& k : probe) k = static_cast<std::int64_t>(rng.next_bounded(100)) - 20;
+  std::vector<std::uint64_t> shifted;
+  for (const std::int64_t k : probe)
+    shifted.push_back(static_cast<std::uint64_t>(k + 20));
+  const auto packed = storage::bitpack(shifted, 7);
+  const JoinKeys pk = JoinKeys::from(storage::PackedView{packed, 7, -20, kNp});
+
+  BitVector bsel(build.size());
+  for (std::size_t i = 0; i < build.size(); ++i)
+    if (rng.next_double() < 0.5) bsel.set(i);
+  constexpr std::size_t kLanes[] = {64, 16, 15, 1};
+  BitVector psel(kNp);
+  for (std::size_t i = 0; i < kNp; ++i) {
+    const std::size_t w = i / 64;
+    const std::size_t lane = i % 64;
+    // Spread each word's lanes (every 64 / lanes-th row) so the decoded
+    // lanes are not all at the front of the block.
+    const std::size_t lanes = kLanes[w % 4];
+    if (w == kNp / 64 || lane % (64 / lanes) == 0) psel.set(i);
+  }
+
+  const auto want = nested_loop_join(build, bsel, probe, psel);
+  const auto expect_oracle = [&](const std::vector<JoinPair>& got,
+                                 const char* arm) {
+    ASSERT_EQ(got.size(), want.size()) << arm;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].build_row, want[i].build_row) << arm << " " << i;
+      EXPECT_EQ(got[i].probe_row, want[i].probe_row) << arm << " " << i;
+    }
+  };
+  const JoinKeys bk = JoinKeys::from(std::span<const std::int64_t>(build));
+  expect_oracle(collect_blocks(build_join_table(bk, bsel), pk, psel), "hash");
+  const DenseJoinTable dense = build_dense_join_table(bk, bsel, -20, 90);
+  std::vector<JoinPair> got;
+  (void)probe_join_blocks(
+      dense, pk, psel, 0, psel.word_count(),
+      [&](const std::uint32_t* b, const std::uint32_t* p, std::size_t k) {
+        for (std::size_t e = 0; e < k; ++e) got.push_back({b[e], p[e]});
+      });
+  expect_oracle(got, "dense");
+}
+
 TEST(JoinBlocks, DenseTableMatchesHashTable) {
   Pcg32 rng(66);
   std::vector<std::int64_t> build(400), probe(2000);

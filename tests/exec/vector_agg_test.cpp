@@ -146,6 +146,42 @@ TEST(GroupedMultiAggregate, DenseMatchesReference) {
   expect_grouped_matches_reference(t, g);
 }
 
+TEST(GroupedMultiAggregate, PackedKeysMatchPlainKeysAtBlockBoundaries) {
+  // Selection words with 64, 16, 15 and 1 selected lanes straddle the
+  // packed key column's block-decode threshold, plus a partial last word.
+  // Both strategies must equal the plain-key kernel bit for bit.
+  constexpr std::size_t kN = 64 * 13 + 29;
+  TestColumns t = make_columns(kN, 0.0, 31, /*key_domain=*/45);
+  constexpr std::size_t kLanes[] = {64, 16, 15, 1};
+  for (std::size_t i = 0; i < kN; ++i) {
+    const std::size_t w = i / 64;
+    if (w == kN / 64 || (i % 64) % (64 / kLanes[w % 4]) == 0)
+      t.selection.set(i);
+  }
+  std::vector<std::uint64_t> shifted;
+  for (std::int64_t& k : t.keys64) {
+    k += 3;  // keys 3..47, packed against a frame-of-reference of 3
+    shifted.push_back(static_cast<std::uint64_t>(k - 3));
+  }
+  const auto packed = storage::bitpack(shifted, 6);
+  const storage::PackedView keys{packed, 6, 3, kN};
+  for (const GroupStrategy strategy :
+       {GroupStrategy::kDenseArray, GroupStrategy::kHash}) {
+    const auto want = grouped_multi_aggregate(
+        std::span(t.keys64), three_inputs(t), t.selection, {}, strategy);
+    const auto got = grouped_multi_aggregate_packed(
+        keys, three_inputs(t), t.selection, {}, strategy);
+    ASSERT_EQ(got.keys, want.keys);
+    ASSERT_EQ(got.counts, want.counts);
+    for (std::size_t g = 0; g < want.group_count(); ++g) {
+      expect_agg_eq(want.iout[0][g], got.iout[0][g]);
+      expect_agg_eq(want.iout[1][g], got.iout[1][g]);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(want.dout[2][g].sum),
+                std::bit_cast<std::uint64_t>(got.dout[2][g].sum));
+    }
+  }
+}
+
 TEST(GroupedMultiAggregate, HashStrategyMatchesDense) {
   const TestColumns t = make_columns(20'000, 0.6, 22, /*key_domain=*/40);
   const auto dense =

@@ -7,7 +7,10 @@
 #include <string>
 #include <vector>
 
+#include "query/ops/op_context.hpp"
+#include "query/ops/scan_filter.hpp"
 #include "query/physical_plan.hpp"
+#include "sched/thread_pool.hpp"
 #include "scalar_oracle.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -961,6 +964,149 @@ TEST(Executor, MultiJoinAgreesAcrossArmsAndParallelism) {
   for (std::size_t g = 0; g < want.row_count(); ++g)
     for (std::size_t c = 0; c < want.column_count(); ++c)
       EXPECT_EQ(parallel.at(g, c), want.at(g, c)) << g << "," << c;
+}
+
+/// facts(sel, fa, fb, v) with bit-packed fa / fb join keys, and two
+/// dimensions: dima(a, ga) with unique keys, dimb(b, gb) with two rows per
+/// key. facts.sel selects 64, 16, 15 and 1 lanes of successive 64-row
+/// words (filter sel = 1), and every row of the partial last word.
+Catalog make_packed_chain_catalog() {
+  constexpr std::size_t kN = 64 * 30 + 41;
+  constexpr std::size_t kLanes[] = {64, 16, 15, 1};
+  Catalog cat;
+  Table& facts = cat.add(Table(
+      "facts", Schema({{"sel", TypeId::kInt64},
+                       {"fa", TypeId::kInt64},
+                       {"fb", TypeId::kInt64},
+                       {"v", TypeId::kInt64}})));
+  Pcg32 rng(909);
+  std::vector<std::int64_t> sel, fa, fb, v;
+  for (std::size_t i = 0; i < kN; ++i) {
+    const std::size_t w = i / 64;
+    sel.push_back(w == kN / 64 || (i % 64) % (64 / kLanes[w % 4]) == 0);
+    fa.push_back(rng.next_bounded(40));
+    fb.push_back(rng.next_bounded(25));
+    v.push_back(rng.next_in_range(-50, 50));
+  }
+  facts.set_column(0, Column::from_int64("sel", sel));
+  facts.set_column(1, Column::from_int64("fa", fa));
+  facts.set_column(2, Column::from_int64("fb", fb));
+  facts.set_column(3, Column::from_int64("v", v));
+  facts.recode("fa", storage::Encoding::kBitPacked);
+  facts.recode("fb", storage::Encoding::kBitPacked);
+
+  Table& dima = cat.add(Table(
+      "dima", Schema({{"a", TypeId::kInt64}, {"ga", TypeId::kInt64}})));
+  std::vector<std::int64_t> as, gas;
+  for (std::int64_t i = 0; i < 40; ++i) {
+    as.push_back(i);
+    gas.push_back(i % 7);
+  }
+  dima.set_column(0, Column::from_int64("a", as));
+  dima.set_column(1, Column::from_int64("ga", gas));
+
+  Table& dimb = cat.add(Table(
+      "dimb", Schema({{"b", TypeId::kInt64}, {"gb", TypeId::kInt64}})));
+  std::vector<std::int64_t> bs, gbs;
+  for (std::int64_t i = 0; i < 50; ++i) {
+    bs.push_back(i % 25);
+    gbs.push_back(i % 3);
+  }
+  dimb.set_column(0, Column::from_int64("b", bs));
+  dimb.set_column(1, Column::from_int64("gb", gbs));
+  return cat;
+}
+
+TEST(Executor, PackedChainKeysDecodePerBlockMatchScalarOracle) {
+  // The second join step probes with a packed side-0 key; tuple runs
+  // inside one 64-row block decode it once when they are long enough.
+  const Catalog cat = make_packed_chain_catalog();
+  const Table& facts = cat.get("facts");
+  ASSERT_NE(facts.column("fa").encoded(), nullptr);
+  ASSERT_NE(facts.column("fb").encoded(), nullptr);
+  Executor ex(cat);
+  sched::ThreadPool pool(3);
+  const auto plan = QueryBuilder("facts")
+                        .filter_int("sel", 1, 1)
+                        .join("dima", "fa", "a")
+                        .join("dimb", "fb", "b")
+                        .group_by("ga")
+                        .group_by("gb")
+                        .aggregate(AggOp::kCount)
+                        .aggregate(AggOp::kSum, "v")
+                        .build();
+  const QueryResult want = oracle::run(cat, plan);
+  for (const JoinPath path : {JoinPath::kAuto, JoinPath::kHash}) {
+    for (sched::ThreadPool* p : {static_cast<sched::ThreadPool*>(nullptr),
+                                 &pool}) {
+      ExecOptions options;
+      options.join_path = path;
+      options.pool = p;
+      options.parallel_join_min_rows = 1;
+      ExecStats stats;
+      const QueryResult got = ex.execute(plan, stats, options);
+      oracle::expect_matches(want, got, plan,
+                             p == nullptr ? "serial" : "pool");
+    }
+  }
+}
+
+TEST(Executor, ParallelMaskedConjunctMatchesSerial) {
+  // Two packed conjuncts over a multi-morsel column: the second runs
+  // masked, morsel-parallel when a pool is set. The selection and every
+  // ledger figure must equal the serial pass exactly.
+  constexpr std::size_t kN = 64 * 2100 + 37;
+  Catalog cat;
+  Table& t = cat.add(Table(
+      "wide", Schema({{"p", TypeId::kInt64}, {"q", TypeId::kInt64}})));
+  Pcg32 rng(4711);
+  std::vector<std::int64_t> p, q;
+  for (std::size_t i = 0; i < kN; ++i) {
+    // p in [100, 103] on live stretches: 10-word runs out of every 160
+    // words, plus the first words of every morsel (1024 words); dead
+    // words elsewhere.
+    const std::size_t w = i / 64;
+    const bool live = w % 1024 < 3 || (i / 640) % 16 < 4;
+    p.push_back(live ? 100 + static_cast<std::int64_t>(i % 4)
+                     : 104 + static_cast<std::int64_t>((i / 640) % 12));
+    q.push_back(rng.next_bounded(64));
+  }
+  t.set_column(0, Column::from_int64("p", p));
+  t.set_column(1, Column::from_int64("q", q));
+  t.recode("p", storage::Encoding::kForBitPacked);
+  t.recode("q", storage::Encoding::kBitPacked);
+  const auto plan = QueryBuilder("wide")
+                        .filter_int("p", 100, 103)
+                        .filter_int("q", 10, 40)
+                        .aggregate(AggOp::kCount)
+                        .build();
+
+  const auto run = [&](sched::ThreadPool* pool, ExecStats& stats) {
+    ExecOptions options;
+    options.pool = pool;
+    std::vector<std::uint32_t> idx;
+    std::vector<std::int64_t> keys;
+    ops::OpContext ctx{cat, options, stats, idx, keys, {}};
+    return ops::evaluate_predicates(ctx, t, plan.predicates);
+  };
+  ExecStats serial_stats;
+  const BitVector serial = run(nullptr, serial_stats);
+  std::size_t want = 0;
+  for (std::size_t i = 0; i < kN; ++i)
+    want += p[i] <= 103 && q[i] >= 10 && q[i] <= 40;
+  EXPECT_EQ(serial.count(), want);
+  EXPECT_LT(serial_stats.tuples_scanned, 2 * kN);  // dead words skipped
+  for (const std::size_t threads : {2u, 8u}) {
+    sched::ThreadPool pool(threads);
+    ExecStats stats;
+    const BitVector got = run(&pool, stats);
+    EXPECT_EQ(got, serial) << threads;
+    EXPECT_EQ(stats.tuples_scanned, serial_stats.tuples_scanned) << threads;
+    EXPECT_EQ(stats.work.dram_bytes, serial_stats.work.dram_bytes)
+        << threads;
+    EXPECT_EQ(stats.dram_bytes_saved, serial_stats.dram_bytes_saved)
+        << threads;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ TEST(PlanGovernor, ClassifyOperatorNames) {
   EXPECT_EQ(classify_operator("dense-join(dim)+materialize"),
             OperatorKind::kJoin);
   EXPECT_EQ(classify_operator("aggregate(join)"), OperatorKind::kAggregate);
+  EXPECT_EQ(classify_operator("group-aggregate"), OperatorKind::kAggregate);
   EXPECT_EQ(classify_operator("top-k(revenue)"), OperatorKind::kSort);
   EXPECT_EQ(classify_operator("sort(neg64)"), OperatorKind::kSort);
   EXPECT_EQ(classify_operator("materialize(join)"),

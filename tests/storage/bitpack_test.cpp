@@ -54,19 +54,6 @@ TEST(BitPack, RandomAccessMatchesUnpack) {
     EXPECT_EQ(bitpacked_at(packed, 13, i), values[i]) << i;
 }
 
-TEST(BitPack, Block64MatchesFullUnpack) {
-  Pcg32 rng(6);
-  constexpr std::size_t kN = 64 * 5;
-  std::vector<std::uint64_t> values(kN);
-  for (auto& v : values) v = rng.next() & 0x7ffff;  // 19 bits
-  const auto packed = bitpack(values, 19);
-  for (std::size_t block = 0; block < kN; block += 64) {
-    std::uint64_t out[64];
-    bitunpack_block64(packed, 19, block, out);
-    for (int i = 0; i < 64; ++i) EXPECT_EQ(out[i], values[block + i]);
-  }
-}
-
 // Property sweep: round-trip for every width 1..64 on random data masked to
 // the width, with a non-multiple-of-64 count to cover the tail path.
 class BitPackWidthSweep : public ::testing::TestWithParam<unsigned> {};
@@ -92,6 +79,35 @@ TEST_P(BitPackWidthSweep, RoundTrip) {
   // Random access agrees everywhere.
   for (std::size_t i = 0; i < kN; i += 7)
     EXPECT_EQ(bitpacked_at(packed, bits, i), values[i]);
+}
+
+// Every full 64-value block read through bitunpack_block64 equals the
+// packed values. Each width has its own unrolled unpacker, so every width
+// is checked (width 0 in BitPackDegenerateWidths), with 0 and 2^bits - 1
+// at a different lane in every block. The image holds exactly the full
+// blocks, so a lane reading past its block's `bits` words overruns the
+// image (caught under ASan).
+TEST_P(BitPackWidthSweep, Block64) {
+  const unsigned bits = GetParam();
+  Pcg32 rng(2000 + bits);
+  constexpr std::size_t kBlocks = 5;
+  const std::uint64_t mask =
+      bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+  std::vector<std::uint64_t> values(64 * kBlocks);
+  for (auto& v : values) v = rng.next64() & mask;
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    values[b * 64 + (b * 17) % 64] = 0;
+    values[b * 64 + (b * 29 + 5) % 64] = mask;
+  }
+  const auto packed = bitpack(values, bits);
+  ASSERT_EQ(packed.size(), kBlocks * bits);
+  for (std::size_t block = 0; block < values.size(); block += 64) {
+    std::uint64_t out[64];
+    bitunpack_block64(packed, bits, block, out);
+    for (std::size_t i = 0; i < 64; ++i)
+      ASSERT_EQ(out[i], values[block + i])
+          << "bits " << bits << " block " << block / 64 << " lane " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWidths, BitPackWidthSweep,
